@@ -1,55 +1,49 @@
 """Closed-form entangling capacities organized by interaction-coefficient region.
 
 How much entanglement one application of a two-qubit gate can create depends
-only on its canonical coefficients (a1, a2, a3).  Three regimes partition the
-ordered simplex:
+only on its canonical coefficients (a1, a2, a3), through the eigenphases
+lambda_j of the interaction factor on the magic-basis vectors B_j (columns
+of ``BELL_BASIS``).  Complex conjugation maps a3 to -a3 and leaves every
+capacity unchanged, so the tags read |a3|:
 
-- ``ONE_EBIT``: a1+a2 >= pi/4 and a2+a3 <= pi/4.  Some product input is mapped
-  to a maximally entangled output, so every measure saturates at one e-bit.
-- ``REGION_1``: a1+a2 < pi/4.  The best gain is sin(2(a1+a2)), reached from a
-  slightly entangled superposition of |01> and |10>.
-- ``REGION_2``: a2+a3 > pi/4.  The best gain is sin(2(a2+a3)), reached from an
-  entangled mix of the first and last magic-basis vectors.
+- ``ONE_EBIT``: a1+a2 >= pi/4 and a2+|a3| <= pi/4.  Zero lies in the convex
+  hull of the points exp(-2i lambda_j) (Kraus & Cirac, PRA 63, 062309), so a
+  product input is mapped to a maximally entangled output and every measure
+  saturates at one e-bit.
+- ``REGION_1``: a1+a2 < pi/4.  The best concurrence gain is sin(2(a1+a2)).
+- ``REGION_2``: a2+|a3| > pi/4.  The best concurrence gain is sin(2(a2+|a3|)).
 
 Saturation is tested first; under the canonical ordering the other two
 conditions are mutually exclusive, so the tags partition parameter space.
-Operations report values in each measure's native units and return the
-optimizing input state whenever one is known in closed form; saturating
-product inputs are found with a short deterministic product-start search.
+Outside saturation every optimum is a mixture (B_j + e^{if} B_k)/sqrt(2) of
+the pair whose eigenphase gap Delta = lambda_k - lambda_j has the largest
+|sin Delta| (the gain above).  It has concurrence |cos f| before the gate and
+|cos(f + Delta)| after, so each measure is a function of f alone: explicit
+for the concurrence measures, one transcendental equation for the entropy.
+No result runs the numerical optimizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .canonical import CanonicalParams
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    NotCanonicalError,
-    NotNormalizedError,
-    ZeroCapacityError,
-)
-from .measures import MeasureKind
-from .optimize import (
-    OptimizerConfig,
-    entanglement_batch,
-    numeric_capacity,
-    product_start_capacity,
-)
-from .qcore import BELL_BASIS, PureState, _require_unitary, build_canonical_unitary
+from .errors import DimensionMismatchError, NotCanonicalError, NotNormalizedError
+from .qcore import BELL_BASIS, PureState
 
 QUARTER_PI = np.pi / 4
 
-# Magic-basis column pairs spanning the optimal two-dimensional search space.
-_PAIR_REGION_1 = (2, 3)
-_PAIR_REGION_2 = (0, 3)
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_TRIANGLES = tuple(list(t) for t in itertools.combinations(range(4), 3))
+# Barycentric coordinates of zero: real and imaginary parts 0, weights sum 1.
+_ORIGIN_WEIGHTS = np.array([0.0, 0.0, 1.0])
 
-# Coarse scan resolution preceding local refinement of pair mixtures.
-_GRID_POINTS = 64
+# One period of the mixing phase.  The entropy gain has one maximum per
+# period, so the best grid point's two neighbours bracket it.
+_PHASE_GRID = np.linspace(0.0, np.pi, 257)
 
 
 class RegionTag(Enum):
@@ -72,7 +66,7 @@ class AnalyticCapacity:
 
     value: float
     region: RegionTag
-    optimal_state: PureState | None
+    optimal_state: PureState
     initial_entanglement: float
     extrapolated: bool = False
     rescaled_value: float | None = None
@@ -92,6 +86,7 @@ def region_of(p) -> RegionTag:
     """Classify canonical coefficients; saturation wins over the other tags."""
     p = _require_canonical(p)
     a1, a2, a3 = p.alpha
+    a3 = abs(a3)
     if a1 + a2 >= QUARTER_PI and a2 + a3 <= QUARTER_PI:
         return RegionTag.ONE_EBIT
     if a1 + a2 < QUARTER_PI:
@@ -99,170 +94,163 @@ def region_of(p) -> RegionTag:
     return RegionTag.REGION_2
 
 
-def _product_witness(p: CanonicalParams, kind: MeasureKind, cfg) -> PureState:
-    # A saturating product input exists but has no closed form; a short
-    # deterministic product-start search recovers one.
-    if cfg is None:
-        cfg = OptimizerConfig(restarts=8)
-    result = product_start_capacity(build_canonical_unitary(p), kind, cfg=cfg)
-    return result.optimal_state
+def _saturating_input(p: CanonicalParams) -> PureState:
+    """Product input that a ``ONE_EBIT`` gate maps to a maximally entangled one.
+
+    With barycentric weights w of zero over a triangle of z_j = exp(-2i
+    lambda_j), b_j = sqrt(w_j) exp(-i lambda_j) has concurrence
+    |sum_j w_j z_j| = 0 and its image sum_j w_j = 1.  Collinear triangles
+    through zero are rank deficient, hence least squares.
+    """
+    lam = np.asarray(p.lambdas)
+    z = np.exp(-2j * lam)
+    fits = []
+    for tri in _TRIANGLES:
+        a = np.vstack([z[tri].real, z[tri].imag, np.ones(3)])
+        w = np.linalg.lstsq(a, _ORIGIN_WEIGHTS, rcond=None)[0]
+        solved = bool(np.allclose(a @ w, _ORIGIN_WEIGHTS, rtol=0.0, atol=1e-12))
+        fits.append((solved, float(w.min()), tri, w))
+    _, _, tri, w = max(fits, key=lambda fit: fit[:2])
+    weights = np.zeros(4)
+    weights[tri] = np.clip(w, 0.0, None)
+    b = np.sqrt(weights / weights.sum()) * np.exp(-1j * lam)
+    return PureState(BELL_BASIS @ b)
 
 
-def _region_1_state(a1: float, a2: float) -> PureState:
-    # The mixing angle must advance the |01>,|10> pair against the phase the
-    # gate applies, so it carries the opposite sign to the gate's half-sum.
-    xi = np.pi / 8 - (a1 + a2) / 2
-    return PureState(np.array([0.0, np.sin(xi), -1j * np.cos(xi), 0.0]))
+def _widest_pair(p: CanonicalParams) -> tuple[int, int, float]:
+    """Magic-basis pair (j, k) whose gap lambda_k - lambda_j has the largest
+    |sine|, with that gap."""
+    lam = p.lambdas
+    j, k = max(_PAIRS, key=lambda jk: abs(np.sin(lam[jk[1]] - lam[jk[0]])))
+    return j, k, lam[k] - lam[j]
 
 
-def _region_2_state(a2: float, a3: float) -> PureState:
-    phase = np.exp(1j * (QUARTER_PI + a2 + a3))
-    return PureState((BELL_BASIS[:, 0] + phase * BELL_BASIS[:, 3]) / np.sqrt(2.0))
+def _mixture(j: int, k: int, f: float) -> PureState:
+    pair = BELL_BASIS[:, j] + np.exp(1j * f) * BELL_BASIS[:, k]
+    return PureState(pair / np.sqrt(2.0))
 
 
-def capacity_c2(p, cfg: OptimizerConfig | None = None) -> AnalyticCapacity:
-    """Largest single-use increase of squared concurrence, no ancillas."""
-    p = _require_canonical(p)
-    region = region_of(p)
-    a1, a2, a3 = p.alpha
-    if region is RegionTag.ONE_EBIT:
-        witness = _product_witness(p, MeasureKind.CONCURRENCE_SQUARED, cfg)
-        return AnalyticCapacity(1.0, region, witness, 0.0)
-    if region is RegionTag.REGION_1:
-        value = float(np.sin(2 * (a1 + a2)))
-        state = _region_1_state(a1, a2)
-    else:
-        value = float(np.sin(2 * (a2 + a3)))
-        state = _region_2_state(a2, a3)
-    return AnalyticCapacity(value, region, state, (1.0 - value) / 2.0)
+def capacity_c2(p) -> AnalyticCapacity:
+    """Largest single-use increase of squared concurrence, no ancillas.
 
-
-def capacity_concurrence(p, cfg: OptimizerConfig | None = None) -> AnalyticCapacity:
-    """Largest single-use increase of concurrence; optimal inputs are product.
-
-    Outside the saturating region the value equals the largest eigenphase-gap
-    sine.  That formula is proven where a1+a2 < pi/4 and extended verbatim to
-    the a2+a3 > pi/4 regime, where results carry ``extrapolated=True`` and are
-    backed by numerical checks only.
+    Over the pair mixture the gain is cos^2(f + Delta) - cos^2(f) =
+    -sin(2f + Delta) sin(Delta), largest at 2f + Delta = -sign(sin Delta) pi/2.
     """
     p = _require_canonical(p)
     region = region_of(p)
-    a1, a2, a3 = p.alpha
     if region is RegionTag.ONE_EBIT:
-        value = 1.0
-    elif region is RegionTag.REGION_1:
-        value = float(np.sin(2 * (a1 + a2)))
+        return AnalyticCapacity(1.0, region, _saturating_input(p), 0.0)
+    j, k, delta = _widest_pair(p)
+    value = float(abs(np.sin(delta)))
+    f = -(np.copysign(np.pi / 2, np.sin(delta)) + delta) / 2
+    return AnalyticCapacity(value, region, _mixture(j, k, f), (1.0 - value) / 2.0)
+
+
+def capacity_concurrence(p) -> AnalyticCapacity:
+    """Largest single-use increase of concurrence; optimal inputs are product.
+
+    Outside the saturating region the value equals the largest eigenphase-gap
+    sine, reached from the product mixture at f = pi/2.  That formula is
+    proven where a1+a2 < pi/4 and extended verbatim to the a2+|a3| > pi/4
+    regime, where results carry ``extrapolated=True`` and are backed by
+    numerical checks only.
+    """
+    p = _require_canonical(p)
+    region = region_of(p)
+    if region is RegionTag.ONE_EBIT:
+        value, state = 1.0, _saturating_input(p)
     else:
-        value = float(np.sin(2 * (a2 + a3)))
-    witness = _product_witness(p, MeasureKind.CONCURRENCE, cfg)
+        j, k, delta = _widest_pair(p)
+        value, state = float(abs(np.sin(delta))), _mixture(j, k, np.pi / 2)
     return AnalyticCapacity(
         value,
         region,
-        witness,
+        state,
         0.0,
         extrapolated=region is RegionTag.REGION_2,
     )
 
 
-def _pair_states(pair: tuple[int, int], thetas, phis) -> np.ndarray:
-    coeffs = np.stack(
-        [np.cos(thetas), np.sin(thetas) * np.exp(1j * np.asarray(phis))], axis=-1
-    )
-    return coeffs @ BELL_BASIS[:, pair].T
-
-
-def _maximize_pair(
-    p: CanonicalParams, pair: tuple[int, int], kind: MeasureKind, tol: float
-) -> tuple[float, PureState, float]:
-    """Best gain over mixtures of two magic-basis vectors.
-
-    The mixture cos(t)*B_j + sin(t)*e^{i f}*B_k is scanned on a coarse
-    (t, f) grid and the best cell is polished with a derivative-free local
-    search.  Returns (gain, optimal input, its initial entanglement).
-    """
-    u = build_canonical_unitary(p)
-
-    def gain(points: np.ndarray) -> np.ndarray:
-        states = _pair_states(pair, points[..., 0], points[..., 1])
-        flat = states.reshape(-1, 4)
-        values = entanglement_batch(flat @ u.T, kind) - entanglement_batch(flat, kind)
-        return values.reshape(states.shape[:-1])
-
-    thetas = np.linspace(0.0, np.pi / 2, _GRID_POINTS)
-    phis = np.linspace(0.0, 2 * np.pi, _GRID_POINTS, endpoint=False)
-    grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1)
-    values = gain(grid)
-    best = np.unravel_index(int(np.argmax(values)), values.shape)
-    x0 = grid[best]
-
-    result = minimize(
-        lambda x: -gain(np.asarray(x)),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": tol, "maxiter": 2000},
-    )
-    if not result.success:
-        raise ConvergenceError(f"pair refinement stopped early: {result.message}")
-    theta, phi = (result.x if -result.fun >= values[best] else x0)
-    state = PureState(_pair_states(pair, theta, phi))
-    initial = float(entanglement_batch(state.amplitudes[None, :], kind)[0])
-    return float(max(-result.fun, values[best])), state, initial
-
-
-def capacity_linear_entropy(
-    p, tol: float = 1e-9, cfg: OptimizerConfig | None = None
-) -> AnalyticCapacity:
+def capacity_linear_entropy(p) -> AnalyticCapacity:
     """Largest single-use increase of linear entropy, no ancillas.
 
     ``value`` uses the printed definition 1 - Tr(rho_A^2), which tops out at
     1/2 on two qubits; ``rescaled_value`` is twice that, normalized to reach
     1 on maximally entangled states.  For pure two-qubit states the measure
-    equals half the squared concurrence, so the saturating and small-sum
-    branches inherit those closed forms; the large-sum branch is computed
-    numerically over the same two-vector mixture family as the entropy case.
+    equals half the squared concurrence, so every branch is the squared-
+    concurrence result halved, with the same optimal input.
     """
-    p = _require_canonical(p)
-    region = region_of(p)
-    a1, a2, a3 = p.alpha
-    if region is RegionTag.ONE_EBIT:
-        value = 0.5
-        state = _product_witness(p, MeasureKind.LINEAR_ENTROPY, cfg)
-        initial = 0.0
-    elif region is RegionTag.REGION_1:
-        c2 = float(np.sin(2 * (a1 + a2)))
-        value = c2 / 2.0
-        state = _region_1_state(a1, a2)
-        initial = (1.0 - c2) / 4.0
-    else:
-        value, state, initial = _maximize_pair(
-            p, _PAIR_REGION_2, MeasureKind.LINEAR_ENTROPY, tol
-        )
-    return AnalyticCapacity(
-        value, region, state, initial, rescaled_value=2.0 * value
+    c2 = capacity_c2(p)
+    return replace(
+        c2,
+        value=c2.value / 2.0,
+        initial_entanglement=c2.initial_entanglement / 2.0,
+        rescaled_value=c2.value,
     )
 
 
-def capacity_entropy_no_ancilla(
-    p, tol: float = 1e-9, cfg: OptimizerConfig | None = None
-) -> AnalyticCapacity:
+def _small_weight(f):
+    # Smaller Schmidt weight (1 - |sin f|)/2 at concurrence |cos f|, in a form
+    # that keeps full relative precision near product states.
+    return np.cos(f) ** 2 / (2.0 * (1.0 + np.abs(np.sin(f))))
+
+
+def _mixture_entropy(f):
+    """Entropy of entanglement of a two-qubit state with concurrence |cos f|."""
+    q = _small_weight(f)
+    return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(np.where(q > 0.0, q, 1.0))
+
+
+def _mixture_entropy_slope(f: float) -> float:
+    """d/df of ``_mixture_entropy``: sign(sin f) cos f log2(q / (1 - q)) / 2."""
+    q = _small_weight(f)
+    if q == 0.0:
+        return 0.0
+    return float(np.sign(np.sin(f)) * np.cos(f) * np.log2(q / (1.0 - q)) / 2.0)
+
+
+def _entropy_phase(delta: float) -> float:
+    """Mixing phase f maximizing E(|cos(f + delta)|) - E(|cos f|).
+
+    Bisection on the sign of the derivative solves the stationarity condition
+    to floating-point resolution inside the grid bracket.  A gain flat to
+    rounding has no sign change, and the best grid point is returned.
+    """
+    gains = _mixture_entropy(_PHASE_GRID + delta) - _mixture_entropy(_PHASE_GRID)
+    best = float(_PHASE_GRID[int(np.argmax(gains))])
+
+    def slope(f: float) -> float:
+        return _mixture_entropy_slope(f + delta) - _mixture_entropy_slope(f)
+
+    lo, hi = best - _PHASE_GRID[1], best + _PHASE_GRID[1]
+    if not slope(lo) > 0.0 > slope(hi):
+        return best
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return mid
+
+
+def capacity_entropy_no_ancilla(p) -> AnalyticCapacity:
     """Largest single-use increase of entropy of entanglement, no ancillas.
 
-    Saturating gates yield exactly one e-bit from a product input.  Otherwise
-    the optimum lives in a two-vector magic-basis mixture — vectors 3 and 4
-    when a1+a2 < pi/4, vectors 1 and 4 when a2+a3 > pi/4 — and the stationary
-    condition is transcendental, so the mixture is optimized numerically to
-    ``tol`` on the objective.
+    Saturating gates yield exactly one e-bit from a product input.
+    Otherwise the optimum is the pair mixture whose phase solves the
+    transcendental stationarity condition of E(|cos(f + Delta)|) - E(|cos f|).
     """
     p = _require_canonical(p)
     region = region_of(p)
     if region is RegionTag.ONE_EBIT:
-        witness = _product_witness(p, MeasureKind.ENTROPY_OF_ENTANGLEMENT, cfg)
-        return AnalyticCapacity(1.0, region, witness, 0.0)
-    pair = _PAIR_REGION_1 if region is RegionTag.REGION_1 else _PAIR_REGION_2
-    value, state, initial = _maximize_pair(
-        p, pair, MeasureKind.ENTROPY_OF_ENTANGLEMENT, tol
-    )
-    return AnalyticCapacity(value, region, state, initial)
+        return AnalyticCapacity(1.0, region, _saturating_input(p), 0.0)
+    j, k, delta = _widest_pair(p)
+    f = _entropy_phase(delta)
+    initial = float(_mixture_entropy(f))
+    value = float(_mixture_entropy(f + delta)) - initial
+    return AnalyticCapacity(value, region, _mixture(j, k, f), initial)
 
 
 def delta_c2_bell(b, p) -> float:
@@ -278,49 +266,3 @@ def delta_c2_bell(b, p) -> float:
     squares = b * b
     phases = np.exp(2j * np.asarray(p.lambdas))
     return float(abs(np.sum(phases * squares)) ** 2 - abs(np.sum(squares)) ** 2)
-
-
-@dataclass(frozen=True)
-class InterconversionBounds:
-    """Entanglement-based bounds on simulating one gate with another."""
-
-    ebit_lower_bound_u1: float
-    rate_upper_bound_u1_to_u2: float
-
-
-def interconversion_bounds(
-    u1,
-    u2,
-    cfg: OptimizerConfig | None = None,
-    zero_tol: float = 1e-6,
-) -> InterconversionBounds:
-    """Bounds from single-use capacities with one ancilla per side.
-
-    Creating u1 from e-bits needs at least its capacity; simulating u1 with
-    copies of u2 cannot beat the capacity ratio.  A denominator capacity at
-    or below ``zero_tol`` means u2 is locally trivial and no finite rate
-    exists.
-    """
-    _require_unitary(np.asarray(u1, dtype=complex))
-    _require_unitary(np.asarray(u2, dtype=complex))
-    kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
-    cap1 = numeric_capacity(u1, kind, anc_a=1, anc_b=1, cfg=cfg).value
-    cap2 = numeric_capacity(u2, kind, anc_a=1, anc_b=1, cfg=cfg).value
-    if cap2 <= zero_tol:
-        raise ZeroCapacityError(
-            f"target capacity {cap2:.3e} is at the zero tolerance; "
-            "the denominator gate is locally trivial"
-        )
-    return InterconversionBounds(cap1, cap1 / cap2)
-
-
-def n_copy_capacity(u, n: int, cfg: OptimizerConfig | None = None) -> float:
-    """Capacity of ``n`` uses: n times the single-use ancilla-assisted value.
-
-    Each use may act on a freshly prepared optimal input held alongside the
-    previously generated entanglement, so uses decouple and totals add.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"copy count must be a positive integer, got {n!r}")
-    kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
-    return int(n) * numeric_capacity(u, kind, anc_a=1, anc_b=1, cfg=cfg).value

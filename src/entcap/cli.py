@@ -166,27 +166,26 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+_ANALYTIC_CAPACITY = {
+    MeasureKind.CONCURRENCE_SQUARED: capacity_c2,
+    MeasureKind.CONCURRENCE: capacity_concurrence,
+    MeasureKind.ENTROPY_OF_ENTANGLEMENT: capacity_entropy_no_ancilla,
+    MeasureKind.LINEAR_ENTROPY: capacity_linear_entropy,
+}
+
+
 def _cmd_capacity(args) -> int:
     u = _load_matrix(args)
     kind = MeasureKind(args.measure)
-    cfg = _config_from(args)
-    tol = args.tol if args.tol is not None else 1e-9
     params = None
     try:
         params = decompose(u)
-        if kind is MeasureKind.CONCURRENCE_SQUARED:
-            result = capacity_c2(params, cfg)
-        elif kind is MeasureKind.CONCURRENCE:
-            result = capacity_concurrence(params, cfg)
-        elif kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
-            result = capacity_entropy_no_ancilla(params, tol, cfg)
-        else:
-            result = capacity_linear_entropy(params, tol, cfg)
+        result = _ANALYTIC_CAPACITY[kind](params)
     except EntcapError:
         if not args.numeric_fallback:
             raise
         region = region_of(params).value if params is not None else "unknown"
-        res = numeric_capacity(u, kind, cfg=cfg)
+        res = numeric_capacity(u, kind, cfg=_config_from(args))
         print(f"capacity = {_fmt(res.value)}, region {region}")
         print(f"initial_entanglement = {_fmt(res.initial_entanglement)}")
         print("method = numeric")
@@ -323,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=tuple(m.value for m in MeasureKind),
     )
-    _add_optimizer_flags(sub)
+    _add_optimizer_flags(
+        sub.add_argument_group("numeric fallback", "used only with --numeric-fallback")
+    )
     sub.add_argument(
         "--numeric-fallback",
         action="store_true",

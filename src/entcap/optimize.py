@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, UnsupportedMeasureError
+from .errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    UnsupportedMeasureError,
+    ZeroCapacityError,
+)
 from .measures import MeasureKind
 from .qcore import (
     ENTROPY_EIGENVALUE_FLOOR,
@@ -559,6 +564,52 @@ def minimize_initial_entanglement(
         converged_restarts=base.converged_restarts,
         best_restart_seed=base.best_restart_seed,
     )
+
+
+@dataclass(frozen=True)
+class InterconversionBounds:
+    """Entanglement-based bounds on simulating one gate with another."""
+
+    ebit_lower_bound_u1: float
+    rate_upper_bound_u1_to_u2: float
+
+
+def interconversion_bounds(
+    u1,
+    u2,
+    cfg: OptimizerConfig | None = None,
+    zero_tol: float = 1e-6,
+) -> InterconversionBounds:
+    """Bounds from single-use capacities with one ancilla per side.
+
+    Creating u1 from e-bits needs at least its capacity; simulating u1 with
+    copies of u2 cannot beat the capacity ratio.  A denominator capacity at
+    or below ``zero_tol`` means u2 is locally trivial and no finite rate
+    exists.
+    """
+    _require_unitary(np.asarray(u1, dtype=complex))
+    _require_unitary(np.asarray(u2, dtype=complex))
+    kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
+    cap1 = numeric_capacity(u1, kind, anc_a=1, anc_b=1, cfg=cfg).value
+    cap2 = numeric_capacity(u2, kind, anc_a=1, anc_b=1, cfg=cfg).value
+    if cap2 <= zero_tol:
+        raise ZeroCapacityError(
+            f"target capacity {cap2:.3e} is at the zero tolerance; "
+            "the denominator gate is locally trivial"
+        )
+    return InterconversionBounds(cap1, cap1 / cap2)
+
+
+def n_copy_capacity(u, n: int, cfg: OptimizerConfig | None = None) -> float:
+    """Capacity of ``n`` uses: n times the single-use ancilla-assisted value.
+
+    Each use may act on a freshly prepared optimal input held alongside the
+    previously generated entanglement, so uses decouple and totals add.
+    """
+    if int(n) != n or n < 1:
+        raise ValueError(f"copy count must be a positive integer, got {n!r}")
+    kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
+    return int(n) * numeric_capacity(u, kind, anc_a=1, anc_b=1, cfg=cfg).value
 
 
 def family_unitary(family: GateFamily) -> np.ndarray:

@@ -1,6 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entcap
+from entcap import capacity as capacity_module
 from entcap.canonical import CanonicalParams, bell_coefficients
 from entcap.capacity import (
     RegionTag,
@@ -9,8 +17,6 @@ from entcap.capacity import (
     capacity_entropy_no_ancilla,
     capacity_linear_entropy,
     delta_c2_bell,
-    interconversion_bounds,
-    n_copy_capacity,
     region_of,
 )
 from entcap.errors import (
@@ -19,7 +25,7 @@ from entcap.errors import (
     NotNormalizedError,
     ZeroCapacityError,
 )
-from entcap.measures import MeasureKind, concurrence, entropy_of_entanglement
+from entcap.measures import MeasureKind, concurrence, entropy_of_entanglement, evaluate
 from entcap.qcore import (
     BELL_BASIS,
     CNOT,
@@ -29,15 +35,13 @@ from entcap.qcore import (
     build_canonical_unitary,
     make_rng,
 )
-from entcap.optimize import OptimizerConfig, numeric_capacity
+from entcap.optimize import interconversion_bounds, n_copy_capacity, numeric_capacity
 
 QUARTER_PI = np.pi / 4
 
 REGION_1_POINT = (0.2, 0.1, 0.05)
 REGION_2_POINT = (QUARTER_PI, QUARTER_PI, np.pi / 16)
 SATURATING_POINT = (7 * np.pi / 32, 7 * np.pi / 32, 0.0)
-
-FAST_CFG = OptimizerConfig(restarts=8, master_seed=3)
 
 
 def test_region_classification():
@@ -57,13 +61,13 @@ def test_region_accepts_plain_triples():
 
 
 def test_c2_branch_values():
-    assert capacity_c2(REGION_1_POINT, FAST_CFG).value == pytest.approx(
+    assert capacity_c2(REGION_1_POINT).value == pytest.approx(
         np.sin(0.6), abs=1e-14
     )
-    assert capacity_c2(REGION_2_POINT, FAST_CFG).value == pytest.approx(
+    assert capacity_c2(REGION_2_POINT).value == pytest.approx(
         np.sin(2 * (QUARTER_PI + np.pi / 16)), abs=1e-14
     )
-    one = capacity_c2(SATURATING_POINT, FAST_CFG)
+    one = capacity_c2(SATURATING_POINT)
     assert one.value == 1.0
     assert one.region is RegionTag.ONE_EBIT
 
@@ -75,7 +79,7 @@ def test_c2_optimal_states_achieve_the_value():
         a2 = rng.uniform(0, min(a1, QUARTER_PI - a1) * 0.95)
         a3 = rng.uniform(0, a2)
         p = CanonicalParams((a1, a2, a3))
-        res = capacity_c2(p, FAST_CFG)
+        res = capacity_c2(p)
         u = build_canonical_unitary(p)
         c0 = concurrence(res.optimal_state) ** 2
         cf = concurrence(PureState(u @ res.optimal_state.amplitudes)) ** 2
@@ -85,7 +89,7 @@ def test_c2_optimal_states_achieve_the_value():
 
 def test_c2_region2_state_achieves_the_value():
     p = CanonicalParams(REGION_2_POINT)
-    res = capacity_c2(p, FAST_CFG)
+    res = capacity_c2(p)
     u = build_canonical_unitary(p)
     c0 = concurrence(res.optimal_state) ** 2
     cf = concurrence(PureState(u @ res.optimal_state.amplitudes)) ** 2
@@ -93,14 +97,14 @@ def test_c2_region2_state_achieves_the_value():
 
 
 def test_concurrence_branch_values_and_extrapolation():
-    r1 = capacity_concurrence(REGION_1_POINT, FAST_CFG)
+    r1 = capacity_concurrence(REGION_1_POINT)
     assert r1.value == pytest.approx(np.sin(0.6), abs=1e-14)
     assert not r1.extrapolated
-    r2 = capacity_concurrence(REGION_2_POINT, FAST_CFG)
+    r2 = capacity_concurrence(REGION_2_POINT)
     assert r2.value == pytest.approx(np.sin(2 * (QUARTER_PI + np.pi / 16)), abs=1e-14)
     assert r2.extrapolated
     assert r2.initial_entanglement == 0.0
-    sat = capacity_concurrence(SATURATING_POINT, FAST_CFG)
+    sat = capacity_concurrence(SATURATING_POINT)
     assert sat.value == 1.0
     assert concurrence(sat.optimal_state) < 1e-3  # product start
 
@@ -113,7 +117,7 @@ def test_linear_entropy_branches():
     assert r2.value == pytest.approx(
         np.sin(2 * (QUARTER_PI + np.pi / 16)) / 2, abs=1e-9
     )
-    sat = capacity_linear_entropy(SATURATING_POINT, cfg=FAST_CFG)
+    sat = capacity_linear_entropy(SATURATING_POINT)
     assert sat.value == 0.5
     assert sat.rescaled_value == 1.0
 
@@ -122,28 +126,113 @@ def test_entropy_no_ancilla_branches():
     assert capacity_entropy_no_ancilla((0.0, 0.0, 0.0)).value == pytest.approx(
         0.0, abs=1e-12
     )
-    sat = capacity_entropy_no_ancilla((QUARTER_PI, 0.0, 0.0), cfg=FAST_CFG)
+    sat = capacity_entropy_no_ancilla((QUARTER_PI, 0.0, 0.0))
     assert sat.value == 1.0
     assert sat.region is RegionTag.ONE_EBIT
     # boundary point saturates from both sides
-    edge = capacity_entropy_no_ancilla((np.pi / 8, np.pi / 8, 0.0), cfg=FAST_CFG)
+    edge = capacity_entropy_no_ancilla((np.pi / 8, np.pi / 8, 0.0))
     assert edge.value == 1.0
 
 
 def test_entropy_no_ancilla_matches_unrestricted_search():
-    p = CanonicalParams(REGION_1_POINT)
-    restricted = capacity_entropy_no_ancilla(p)
-    free = numeric_capacity(
-        build_canonical_unitary(p), MeasureKind.ENTROPY_OF_ENTANGLEMENT
+    for point in (REGION_1_POINT, REGION_2_POINT):
+        p = CanonicalParams(point)
+        restricted = capacity_entropy_no_ancilla(p)
+        free = numeric_capacity(
+            build_canonical_unitary(p), MeasureKind.ENTROPY_OF_ENTANGLEMENT
+        )
+        assert restricted.value == pytest.approx(free.value, abs=1e-6), point
+        # the reported state really produces the reported gain
+        u = build_canonical_unitary(p)
+        psi = restricted.optimal_state
+        gain = entropy_of_entanglement(
+            PureState(u @ psi.amplitudes)
+        ) - entropy_of_entanglement(psi)
+        assert gain == pytest.approx(restricted.value, abs=1e-6), point
+
+
+# (closed form, its measure, tolerance on reproducing it from the state)
+CLOSED_FORMS = (
+    (capacity_c2, MeasureKind.CONCURRENCE_SQUARED, 1e-12),
+    (capacity_concurrence, MeasureKind.CONCURRENCE, 1e-12),
+    (capacity_linear_entropy, MeasureKind.LINEAR_ENTROPY, 1e-12),
+    (capacity_entropy_no_ancilla, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 1e-10),
+)
+
+
+def _state_gain(alpha, kind, state):
+    psi = state.amplitudes
+    e0 = evaluate(kind, psi)
+    return evaluate(kind, build_canonical_unitary(alpha) @ psi) - e0, e0
+
+
+def test_closed_form_states_reproduce_value_and_initial():
+    points = (
+        REGION_1_POINT,
+        REGION_2_POINT,
+        SATURATING_POINT,
+        (0.3, 0.25, 0.2),
+        (0.7, 0.6, 0.4),
+        (0.6, 0.3, 0.1),
+        (0.5, QUARTER_PI - 0.5, 0.1),  # a1 + a2 = pi/4
+        (0.75, 0.45, QUARTER_PI - 0.45),  # a2 + a3 = pi/4
+        (QUARTER_PI, 0.0, 0.0),
+        (np.pi / 8, np.pi / 8, np.pi / 8),
     )
-    assert restricted.value == pytest.approx(free.value, abs=1e-6)
-    # the reported state really produces the reported gain
-    u = build_canonical_unitary(p)
-    psi = restricted.optimal_state
-    gain = entropy_of_entanglement(
-        PureState(u @ psi.amplitudes)
-    ) - entropy_of_entanglement(psi)
-    assert gain == pytest.approx(restricted.value, abs=1e-6)
+    for a1, a2, a3 in points:
+        for alpha in ((a1, a2, a3), (a1, a2, -a3)):
+            for capacity, kind, tol in CLOSED_FORMS:
+                res = capacity(alpha)
+                gain, e0 = _state_gain(alpha, kind, res.optimal_state)
+                assert gain == pytest.approx(res.value, abs=tol), (alpha, kind)
+                assert e0 == pytest.approx(res.initial_entanglement, abs=tol), (
+                    alpha,
+                    kind,
+                )
+
+
+def test_mirrored_a3_gives_the_same_capacity():
+    # Complex conjugation maps a3 to -a3 and leaves every capacity unchanged;
+    # a tag read from the signed a3 once called the mirror saturating.
+    alpha = (0.70328, 0.61340, 0.59068)
+    mirror = (0.70328, 0.61340, -0.59068)
+    assert region_of(mirror) is region_of(alpha) is RegionTag.REGION_2
+    assert capacity_c2(mirror).value == pytest.approx(
+        np.sin(2 * (0.61340 + 0.59068)), abs=1e-14
+    )
+    for capacity, kind, _ in CLOSED_FORMS:
+        res, res_m = capacity(alpha), capacity(mirror)
+        assert res_m.region is res.region
+        assert res_m.value == pytest.approx(res.value, abs=1e-12)
+        gain, _ = _state_gain(alpha, kind, res.optimal_state)
+        gain_m, _ = _state_gain(mirror, kind, res_m.optimal_state)
+        assert gain_m == pytest.approx(gain, abs=1e-12)
+
+
+def test_capacity_module_imports_no_optimizer():
+    tree = ast.parse(Path(capacity_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            if not node.module:
+                imported.update(base + alias.name for alias in node.names)
+    assert not imported & {".optimize", "entcap.optimize"}
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_importing_entcap_does_not_load_scipy():
+    src = str(Path(entcap.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, entcap; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_delta_c2_matches_direct_evolution():
@@ -174,7 +263,7 @@ def test_delta_c2_input_guards():
 def test_delta_c2_upper_bounded_by_branch_value():
     rng = make_rng(77)
     p = CanonicalParams(REGION_1_POINT)
-    best = capacity_c2(p, FAST_CFG).value
+    best = capacity_c2(p).value
     for _ in range(200):
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b /= np.linalg.norm(b)

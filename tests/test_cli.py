@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import entcap.optimize
 from entcap.cli import CSV_HEADER, _fmt, main, parse_matrix_file
 from entcap.errors import MatrixParseError, NotUnitaryError
-from entcap.qcore import CNOT, SWAP
+from entcap.qcore import (
+    CNOT,
+    DCNOT,
+    IDENTITY4,
+    SWAP,
+    build_canonical_unitary,
+    haar_random_local_unitary,
+    make_rng,
+)
 
 
 def _write_json(path, matrix):
@@ -118,6 +127,37 @@ def test_capacity_linear_reports_rescaled(cnot_file, capsys):
     out = capsys.readouterr().out
     assert "capacity = 0.5, region OneEbit" in out
     assert "rescaled_capacity = 1" in out
+
+
+def test_capacity_never_runs_the_optimizer(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analytic capacity path ran the optimizer")
+
+    monkeypatch.setattr(entcap.optimize, "_multistart", refuse)
+    gates = {
+        "cnot": (CNOT, "OneEbit"),
+        "dcnot": (DCNOT, "OneEbit"),
+        "swap": (SWAP, "Region2"),
+        "identity": (IDENTITY4, "Region1"),
+        "sqrt_swap": (build_canonical_unitary((np.pi / 8,) * 3), "OneEbit"),
+    }
+    rng = make_rng(23)
+    for region, alpha in (
+        ("OneEbit", (0.6, 0.3, 0.1)),
+        ("Region1", (0.3, 0.2, 0.1)),
+        ("Region2", (0.7, 0.6, 0.4)),
+    ):
+        va, vb = haar_random_local_unitary(rng)
+        wa, wb = haar_random_local_unitary(rng)
+        dressed = np.kron(va, vb) @ build_canonical_unitary(alpha) @ np.kron(wa, wb)
+        gates[f"dressed_{region}"] = (dressed, region)
+    for name, (gate, region) in gates.items():
+        path = _write_json(tmp_path / f"{name}.json", gate)
+        for measure in ("c2", "concurrence", "linear", "entropy"):
+            assert main(["capacity", "--matrix", path, "--measure", measure]) == 0
+            out = capsys.readouterr().out
+            assert f"region {region}" in out, (name, measure)
+            assert "method = analytic" in out
 
 
 def test_optimize_output(cnot_file, capsys):
