@@ -119,10 +119,16 @@ def _saturating_input(p: CanonicalParams) -> PureState:
 
 def _widest_pair(p: CanonicalParams) -> tuple[int, int, float]:
     """Magic-basis pair (j, k) whose gap lambda_k - lambda_j has the largest
-    |sine|, with that gap."""
+    |sine|, with that gap reduced modulo pi into [-pi/2, pi/2].
+
+    Every gain depends on the gap only modulo pi.  The reduction makes a gap
+    of +-pi exactly 0, so a zero-gain gate reports exactly 0 rather than the
+    rounding residue sin(pi) ~ 1.2e-16.
+    """
     lam = p.lambdas
     j, k = max(_PAIRS, key=lambda jk: abs(np.sin(lam[jk[1]] - lam[jk[0]])))
-    return j, k, lam[k] - lam[j]
+    gap = lam[k] - lam[j]
+    return j, k, gap - np.pi * np.round(gap / np.pi)
 
 
 def _mixture(j: int, k: int, f: float) -> PureState:

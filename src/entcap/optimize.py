@@ -6,6 +6,8 @@ middle pair and the A|B cut splits the basis index in half.  Real parameter
 vectors map to states through ``parameterize_state`` (interleaved real and
 imaginary parts, then normalization); the search is projected gradient
 ascent on the unit sphere of parameters with a backtracking line search.
+Every objective has a closed-form batched gradient; central differences
+serve only the convergence certificate.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and results reduce by (value, then lowest
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,18 +27,20 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    EntcapError,
     UnsupportedMeasureError,
     ZeroCapacityError,
 )
 from .measures import MeasureKind
 from .qcore import (
-    ENTROPY_EIGENVALUE_FLOOR,
     PAULI_YY,
     PureState,
     _require_unitary,
     build_canonical_unitary,
     default_partition,
+    log2_spectrum,
     make_rng,
+    spectrum_entropy_bits,
 )
 
 _GRAD_STEP = 1e-6
@@ -53,8 +58,8 @@ _POLISH_ROUNDS = 48
 # entropy-like measures form sharp apexes at product states whose scale the
 # sampled Hessian cannot represent, so locating them needs sub-1e-6 moves.
 _POLISH_LADDER = 0.5 ** np.arange(24)
-# Finite-difference Hessians above this size are both slow and too noisy to
-# help, so larger problems fall back to plain ascent.
+# Larger problems skip the Newton polish and run plain ascent: a Hessian
+# costs 2n gradient rows and an n x n eigendecomposition per round.
 _POLISH_MAX_PARAMS = 64
 
 QUARTER_PI = np.pi / 4
@@ -62,19 +67,13 @@ QUARTER_PI = np.pi / 4
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start ascent.
-
-    ``gradient_mode`` is "finite-difference" (central differences, default)
-    or "analytic-where-available", which uses closed-form gradients for the
-    measures that have one and falls back to differences otherwise.
-    """
+    """Knobs for the multi-start ascent."""
 
     restarts: int = 32
     max_iterations: int = 5000
     objective_tolerance: float = 1e-8
     step_tolerance: float = 1e-10
     master_seed: int = 0
-    gradient_mode: str = "finite-difference"
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -83,8 +82,6 @@ class OptimizerConfig:
             raise ValueError("need at least one iteration")
         if self.objective_tolerance <= 0 or self.step_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.gradient_mode not in ("finite-difference", "analytic-where-available"):
-            raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
 
 class FamilyKind(enum.Enum):
@@ -162,12 +159,6 @@ def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
     return ("A",) * (anc_a + 1) + ("B",) * (anc_b + 1)
 
 
-def _entropy_rows(rho: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(rho)
-    safe = np.where(w > ENTROPY_EIGENVALUE_FLOOR, w, 1.0)
-    return -(np.where(w > ENTROPY_EIGENVALUE_FLOOR, w * np.log2(safe), 0.0)).sum(axis=-1)
-
-
 def entanglement_batch(
     states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2
 ) -> np.ndarray:
@@ -186,8 +177,72 @@ def entanglement_batch(
     if kind is MeasureKind.LINEAR_ENTROPY:
         return 1.0 - np.einsum("mab,mab->m", rho, rho.conj()).real
     if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
-        return _entropy_rows(rho)
+        return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
     raise UnsupportedMeasureError(f"unknown measure kind {kind!r}")
+
+
+# Closed-form gradients.  A kernel returns each row's entanglement E with
+# dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
+# psi: _sphere_gradient projects that direction out, because every objective
+# depends on its parameters only through normalized states.
+
+
+def _flip_terms(states: np.ndarray, flip: np.ndarray, kind: MeasureKind):
+    """Concurrence |psi^T F psi|, or its square, for the symmetric form F."""
+    w = states @ flip
+    c = np.einsum("mi,mi->m", w, states)
+    grad = 2.0 * c[:, None] * w.conj()
+    if kind is MeasureKind.CONCURRENCE_SQUARED:
+        return np.abs(c) ** 2, grad
+    conc = np.abs(c)
+    # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
+    half_inverse = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
+    return conc, grad * half_inverse[:, None]
+
+
+def _cut_terms(states: np.ndarray, kind: MeasureKind, dim_a: int, dim_b: int):
+    """Linear entropy or entropy across the cut, from the smaller Gram matrix.
+
+    With K = T T^dagger (T the reshaped state), dE/d(conj T) is -2 K T for
+    the linear entropy and -(log2 K) T for the entropy; with K = T^dagger T
+    the factor multiplies T from the right instead.
+    """
+    m = states.shape[0]
+    t = states.reshape(m, dim_a, dim_b)
+    t_dag = t.conj().transpose(0, 2, 1)
+    left = dim_a <= dim_b
+    gram = t @ t_dag if left else t_dag @ t
+    if kind is MeasureKind.LINEAR_ENTROPY:
+        value = 1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real
+        factor = -2.0 * gram
+    else:
+        w, vecs = np.linalg.eigh(gram)
+        logs = log2_spectrum(w)
+        value = -(w * logs).sum(axis=-1)
+        factor = -(vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    grad = factor @ t if left else t @ factor
+    return value, grad.reshape(m, -1)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each real row, as a column."""
+    return np.sqrt(np.einsum("mi,mi->m", rows, rows))[:, None]
+
+
+def _unit_rows(raw: np.ndarray):
+    """Normalized complex rows of interleaved (re, im) parameters, with norms."""
+    norm = _row_norms(raw)
+    return (raw[:, 0::2] + 1j * raw[:, 1::2]) / norm, norm
+
+
+def _sphere_gradient(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray):
+    """Interleaved real gradient of a function of unit = v / |v|, given its
+    derivative ``grad`` in conj(unit): the component along unit is projected
+    out and the rest divided by |v|."""
+    along = np.einsum("mi,mi->m", unit.conj(), grad).real
+    tangent = grad - along[:, None] * unit
+    # A complex row viewed as floats is its interleaved (re, im) parameters.
+    return tangent.view(np.float64) * (2.0 / norm)
 
 
 class _CutObjective:
@@ -196,17 +251,20 @@ class _CutObjective:
     def __init__(self, u: np.ndarray, measure: MeasureKind, anc_a: int, anc_b: int):
         if not (0 <= anc_a <= 2 and 0 <= anc_b <= 2):
             raise ValueError("supported ancilla counts are 0, 1 and 2 per side")
-        if measure in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED):
-            if anc_a or anc_b:
-                raise UnsupportedMeasureError(
-                    "concurrence variants are undefined with ancillas; "
-                    "use entropy or linear entropy"
-                )
+        flip = measure in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED)
+        if flip and (anc_a or anc_b):
+            raise UnsupportedMeasureError(
+                "concurrence variants are undefined with ancillas; "
+                "use entropy or linear entropy"
+            )
         u = np.asarray(u, dtype=complex)
         if u.shape != (4, 4):
             raise DimensionMismatchError(f"expected a 4x4 gate, got shape {u.shape}")
         _require_unitary(u)
         self.u = u
+        self.u_dag = u.conj().T
+        # The output concurrence of psi is that of U psi: |psi^T (U^T M U) psi|.
+        self.flip_out = u.T @ PAULI_YY @ u if flip else None
         self.measure = measure
         self.dim_pre = 2**anc_a
         self.dim_post = 2**anc_b
@@ -217,13 +275,14 @@ class _CutObjective:
         self.n_raw = 2 * self.dim
 
     def states(self, raw: np.ndarray) -> np.ndarray:
-        v = raw[:, 0::2] + 1j * raw[:, 1::2]
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+        return _unit_rows(raw)[0]
 
-    def evolve(self, states: np.ndarray) -> np.ndarray:
+    def evolve(self, states: np.ndarray, gate: np.ndarray | None = None):
+        """Apply the gate (or ``gate``) to the shared pair of every row."""
         m = states.shape[0]
         t = states.reshape(m, self.dim_pre, 4, self.dim_post)
-        return np.einsum("pq,mxqy->mxpy", self.u, t).reshape(m, self.dim)
+        gate = self.u if gate is None else gate
+        return np.einsum("pq,mxqy->mxpy", gate, t).reshape(m, self.dim)
 
     def entanglement(self, states: np.ndarray) -> np.ndarray:
         return entanglement_batch(states, self.measure, self.dim_a, self.dim_b)
@@ -235,23 +294,25 @@ class _CutObjective:
         s = self.states(np.atleast_2d(raw))
         return self.entanglement(self.evolve(s)) - self.entanglement(s)
 
-    def gradient(self, raw: np.ndarray) -> np.ndarray | None:
-        if self.measure is not MeasureKind.CONCURRENCE_SQUARED:
-            return None
-        # d/draw of (|v^T Mf v|^2 - |v^T M v|^2) / |v|^4 with Mf = U^T M U.
-        v = raw[0::2] + 1j * raw[1::2]
-        n2 = float(raw @ raw)
-        mf = self.u.T @ PAULI_YY @ self.u
-        grad = np.zeros_like(raw)
-        amount = 0.0
-        for mat, sign in ((mf, 1.0), (PAULI_YY, -1.0)):
-            w = mat @ v
-            z = v @ w
-            amount += sign * abs(z) ** 2
-            zc_w = np.conj(z) * w
-            grad[0::2] += sign * 4.0 * zc_w.real
-            grad[1::2] += sign * -4.0 * zc_w.imag
-        return grad / n2**2 - (4.0 * amount / n2**3) * raw
+    def input_terms(self, states: np.ndarray):
+        """Entanglement of state rows with its derivative in conj(psi)."""
+        if self.flip_out is not None:
+            return _flip_terms(states, PAULI_YY, self.measure)
+        return _cut_terms(states, self.measure, self.dim_a, self.dim_b)
+
+    def output_terms(self, states: np.ndarray):
+        """Entanglement after the gate, derivative pulled back through U^dagger."""
+        if self.flip_out is not None:
+            return _flip_terms(states, self.flip_out, self.measure)
+        out = self.evolve(states)
+        value, grad = _cut_terms(out, self.measure, self.dim_a, self.dim_b)
+        return value, self.evolve(grad, self.u_dag)
+
+    def gradients(self, raw: np.ndarray) -> np.ndarray:
+        """Gradient of ``values`` at each parameter row, shape (m, n_raw)."""
+        s, norm = _unit_rows(np.atleast_2d(raw))
+        grad = self.output_terms(s)[1] - self.input_terms(s)[1]
+        return _sphere_gradient(grad, s, norm)
 
 
 class _ProductObjective(_CutObjective):
@@ -265,14 +326,13 @@ class _ProductObjective(_CutObjective):
         super().__init__(u, measure, anc_a, anc_b)
         self.n_raw = 2 * (self.dim_a + self.dim_b)
 
-    def states(self, raw: np.ndarray) -> np.ndarray:
+    def _factors(self, raw: np.ndarray):
         split = 2 * self.dim_a
-        va = raw[:, :split][:, 0::2] + 1j * raw[:, :split][:, 1::2]
-        vb = raw[:, split:][:, 0::2] + 1j * raw[:, split:][:, 1::2]
-        va = va / np.linalg.norm(va, axis=1, keepdims=True)
-        vb = vb / np.linalg.norm(vb, axis=1, keepdims=True)
-        m = raw.shape[0]
-        return np.einsum("ma,mb->mab", va, vb).reshape(m, self.dim)
+        return _unit_rows(raw[:, :split]), _unit_rows(raw[:, split:])
+
+    def states(self, raw: np.ndarray) -> np.ndarray:
+        (va, _), (vb, _) = self._factors(raw)
+        return np.einsum("ma,mb->mab", va, vb).reshape(raw.shape[0], self.dim)
 
     def initial_entanglement(self, states: np.ndarray) -> np.ndarray:
         return np.zeros(states.shape[0])
@@ -281,8 +341,43 @@ class _ProductObjective(_CutObjective):
         s = self.states(np.atleast_2d(raw))
         return self.entanglement(self.evolve(s))
 
-    def gradient(self, raw: np.ndarray) -> np.ndarray | None:
-        return None
+    def gradients(self, raw: np.ndarray) -> np.ndarray:
+        """Gradient of ``values``, through both factors of psi = va x vb."""
+        raw = np.atleast_2d(raw)
+        (va, norm_a), (vb, norm_b) = self._factors(raw)
+        m = raw.shape[0]
+        s = np.einsum("ma,mb->mab", va, vb).reshape(m, self.dim)
+        grad = self.output_terms(s)[1].reshape(m, self.dim_a, self.dim_b)
+        grad_a = np.einsum("mab,mb->ma", grad, vb.conj())
+        grad_b = np.einsum("mab,ma->mb", grad, va.conj())
+        return np.hstack(
+            [_sphere_gradient(grad_a, va, norm_a), _sphere_gradient(grad_b, vb, norm_b)]
+        )
+
+
+class _PenalizedObjective:
+    """-E0 - penalty * hinge(target - gain)^2 over unrestricted states."""
+
+    def __init__(self, objective: _CutObjective, target: float, penalty: float):
+        self.objective = objective
+        self.target = target
+        self.penalty = penalty
+        self.n_raw = objective.n_raw
+
+    def values(self, raw: np.ndarray) -> np.ndarray:
+        obj = self.objective
+        s = obj.states(np.atleast_2d(raw))
+        e0 = obj.entanglement(s)
+        gain = obj.entanglement(obj.evolve(s)) - e0
+        return -e0 - self.penalty * np.maximum(0.0, self.target - gain) ** 2
+
+    def gradients(self, raw: np.ndarray) -> np.ndarray:
+        s, norm = _unit_rows(np.atleast_2d(raw))
+        e0, grad_in = self.objective.input_terms(s)
+        ef, grad_out = self.objective.output_terms(s)
+        weight = 2.0 * self.penalty * np.maximum(0.0, self.target - (ef - e0))
+        grad = weight[:, None] * (grad_out - grad_in) - grad_in
+        return _sphere_gradient(grad, s, norm)
 
 
 def _tangent(vec: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -290,6 +385,7 @@ def _tangent(vec: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 
 def _fd_gradient(objective, raw: np.ndarray, step: float = _GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient; used only by the convergence certificate."""
     n = raw.size
     shifts = step * np.eye(n)
     vals = objective.values(np.vstack([raw + shifts, raw - shifts]))
@@ -299,7 +395,7 @@ def _fd_gradient(objective, raw: np.ndarray, step: float = _GRAD_STEP) -> np.nda
 def _best_rung(objective, raw, value, direction, slope):
     """Best Armijo-acceptable value along the deep polish ladder, or None."""
     trials = raw[None, :] + _POLISH_LADDER[:, None] * direction[None, :]
-    trials /= np.linalg.norm(trials, axis=1, keepdims=True)
+    trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
     accepted = trial_vals >= value + _ARMIJO_SLOPE * _POLISH_LADDER * slope
     if not accepted.any():
@@ -312,14 +408,14 @@ def _pattern_rung(objective, raw, value, directions):
     """Derivative-free fallback: deep-ladder probes along several signed
     directions at once, keeping any improvement certified above roundoff.
 
-    Sharp apexes defeat the finite-difference gradient (its sign carries no
-    information once the optimum is closer than the difference step), so the
+    Sharp apexes defeat the gradient (the entropy has a kink at product
+    states, where its sign carries no information about the optimum), so the
     probes must not trust it beyond supplying candidate axes.
     """
     stacked = np.vstack(
         [raw[None, :] + _POLISH_LADDER[:, None] * d[None, :] for d in directions]
     )
-    stacked /= np.linalg.norm(stacked, axis=1, keepdims=True)
+    stacked /= _row_norms(stacked)
     trial_vals = objective.values(stacked)
     k = int(np.argmax(trial_vals))
     if trial_vals[k] < value + 1e-14:
@@ -327,26 +423,24 @@ def _pattern_rung(objective, raw, value, directions):
     return stacked[k], float(trial_vals[k])
 
 
-def _newton_polish(objective, raw, value, gradient_fn):
+def _newton_polish(objective, raw, value):
     """Second-order cleanup once first-order progress stalls.
 
     Saturating optima sit on nearly flat ridges where gradient steps crawl;
     damped Newton steps restricted to the negative-curvature subspace contract
     the gradient below the convergence threshold.  When the quadratic model
-    misjudges the scale (sharp apexes), plain gradient rungs take over.
+    misjudges the scale (sharp apexes), plain gradient rungs take over.  The
+    Hessian is central differences of closed-form gradients, 2n rows at once.
     """
     n = raw.size
     hshifts = _HESSIAN_STEP * np.eye(n)
     for _ in range(_POLISH_ROUNDS):
-        grad = _tangent(gradient_fn(raw), raw)
+        grad = _tangent(objective.gradients(raw[None, :])[0], raw)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < _CONVERGED_GRAD_NORM:
             break
-        hess = np.empty((n, n))
-        for j in range(n):
-            gp = gradient_fn(raw + hshifts[j])
-            gm = gradient_fn(raw - hshifts[j])
-            hess[:, j] = (gp - gm) / (2 * _HESSIAN_STEP)
+        shifted = objective.gradients(np.vstack([raw + hshifts, raw - hshifts]))
+        hess = (shifted[:n] - shifted[n:]).T / (2 * _HESSIAN_STEP)
         hess = 0.5 * (hess + hess.T)
         eigenvalues, eigenvectors = np.linalg.eigh(hess)
         scale = max(float(np.max(np.abs(eigenvalues))), 1e-300)
@@ -375,40 +469,37 @@ def _newton_polish(objective, raw, value, gradient_fn):
 
 
 def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
+    """One restart: returns (raw, value, converged).
+
+    ``converged`` is the certificate at the exit point: the tangent part of
+    the central-difference gradient (step 1e-6) has norm below 1e-6.
+    """
+    raw, value = _climb(objective, raw0, cfg)
+    grad = _tangent(_fd_gradient(objective, raw), raw)
+    return raw, value, float(np.linalg.norm(grad)) < _CONVERGED_GRAD_NORM
+
+
+def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     """Projected gradient ascent with curvature-matched steps and a Newton
-    cleanup at stalls; returns (raw, value, converged)."""
+    cleanup at stalls; returns (raw, value)."""
     raw = raw0 / np.linalg.norm(raw0)
     value = float(objective.values(raw[None, :])[0])
     n = raw.size
-    use_analytic = (
-        cfg.gradient_mode == "analytic-where-available"
-        and objective.gradient(raw) is not None
-    )
-    if use_analytic:
-        gradient_fn = objective.gradient
-    else:
-        def gradient_fn(point):
-            return _fd_gradient(objective, point)
 
     def finish(current_raw, current_value, grad_norm):
         if grad_norm >= _CONVERGED_GRAD_NORM and n <= _POLISH_MAX_PARAMS:
-            current_raw, current_value = _newton_polish(
-                objective, current_raw, current_value, gradient_fn
-            )
-            grad_norm = float(
-                np.linalg.norm(_tangent(gradient_fn(current_raw), current_raw))
-            )
-        return current_raw, current_value, grad_norm < _CONVERGED_GRAD_NORM
+            return _newton_polish(objective, current_raw, current_value)
+        return current_raw, current_value
 
     step = 0.1
     prev_raw = prev_grad = None
     history: list[float] = [value]
     grad_norm = np.inf
     for _ in range(cfg.max_iterations):
-        grad = _tangent(gradient_fn(raw), raw)
-        grad_norm = float(np.linalg.norm(grad))
+        grad = _tangent(objective.gradients(raw[None, :])[0], raw)
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm < 1e-13:
-            return raw, value, True
+            return raw, value
         if prev_raw is not None:
             # Secant (Barzilai-Borwein) step: match the curvature seen along
             # the last move so ill-conditioned ridges do not force a crawl.
@@ -421,7 +512,7 @@ def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         prev_raw, prev_grad = raw, grad
         ladder = step * _LADDER
         trials = raw[None, :] + ladder[:, None] * grad[None, :]
-        trials /= np.linalg.norm(trials, axis=1, keepdims=True)
+        trials /= _row_norms(trials)
         trial_vals = objective.values(trials)
         # The slope term uses grad_norm**2: the trial displacement is
         # ladder * grad, whose directional derivative is the squared norm.
@@ -454,7 +545,7 @@ def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                 # Too many parameters for a Hessian solve: keep crawling
                 # while measurable progress remains, with a hard floor.
                 if window_gain < max(1e-13, 1e-5 * cfg.objective_tolerance):
-                    return raw, value, False
+                    return raw, value
     return finish(raw, value, grad_norm)
 
 
@@ -470,6 +561,9 @@ def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
         seed = cfg.master_seed + i
         raw0 = make_rng(seed).standard_normal(objective.n_raw)
         raw, value, converged = _ascend(objective, raw0, cfg)
+        if math.isnan(value):
+            # A NaN key never compares less, so it would stick as the best.
+            continue
         converged_count += int(converged)
         key = (-value, seed)
         if best_key is None or key < best_key:
@@ -534,23 +628,10 @@ def minimize_initial_entanglement(
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
     target = base.value - value_slack
     objective = _CutObjective(u, measure, anc_a, anc_b)
-
-    class _Penalized:
-        n_raw = objective.n_raw
-
-        def values(self, raw: np.ndarray) -> np.ndarray:
-            s = objective.states(np.atleast_2d(raw))
-            e0 = objective.entanglement(s)
-            gain = objective.entanglement(objective.evolve(s)) - e0
-            return -e0 - penalty * np.maximum(0.0, target - gain) ** 2
-
-        def gradient(self, raw: np.ndarray):
-            return None
-
     amps = base.optimal_state.amplitudes
     raw0 = np.empty(objective.n_raw)
     raw0[0::2], raw0[1::2] = amps.real, amps.imag
-    raw, _, _ = _ascend(_Penalized(), raw0, cfg)
+    raw, _ = _climb(_PenalizedObjective(objective, target, penalty), raw0, cfg)
     state_row = objective.states(raw[None, :])
     e0 = float(objective.entanglement(state_row)[0])
     ef = float(objective.entanglement(objective.evolve(state_row))[0])
@@ -644,14 +725,22 @@ def _sweep_row(task) -> SweepRow:
             final_entanglement=result.final_entanglement,
             converged_restarts=result.converged_restarts,
         )
-    except Exception as exc:  # recorded per row instead of aborting the sweep
+    except (EntcapError, ValueError) as exc:
+        # Domain errors are recorded per row instead of aborting the sweep;
+        # anything else is a bug and propagates.
         return SweepRow(label, math.nan, math.nan, math.nan, 0, str(exc))
 
 
+def _pool_size(workers: int, rows: int) -> int:
+    """Processes for a sweep: never more than its rows or the machine's CPUs."""
+    return max(1, min(workers, rows, os.cpu_count() or 1))
+
+
 def _run_sweep(tasks, workers: int) -> list[SweepRow]:
-    if workers <= 1:
+    size = _pool_size(workers, len(tasks))
+    if size == 1:
         return [_sweep_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(_sweep_row, tasks))
 
 

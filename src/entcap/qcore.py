@@ -21,7 +21,10 @@ from .errors import (
     WrongPartitionError,
 )
 
-ENTROPY_EIGENVALUE_FLOOR = 1e-12
+# Only eigenvalues at or below this floor are dropped from entropies.  The
+# term -w log2 w runs continuously to 0, so a larger cut would make the
+# entropy jump where an eigenvalue crosses it.
+ENTROPY_EIGENVALUE_FLOOR = 1e-300
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
@@ -196,17 +199,22 @@ def partial_trace(psi: PureState, keep: str = "A") -> np.ndarray:
     return t @ t.conj().T
 
 
-def von_neumann_entropy_bits(rho: np.ndarray) -> float:
-    """Entropy -sum(p log2 p) of a density matrix, in bits.
+def log2_spectrum(w: np.ndarray) -> np.ndarray:
+    """log2 of eigenvalues, with 0 for those at or below the entropy floor."""
+    keep = w > ENTROPY_EIGENVALUE_FLOOR
+    return np.where(keep, np.log2(np.where(keep, w, 1.0)), 0.0)
 
-    Eigenvalues at or below the floor are treated as exact zeros so that
-    numerically rank-deficient states come out with entropy exactly 0.
-    """
+
+def spectrum_entropy_bits(w: np.ndarray) -> np.ndarray:
+    """-sum(w log2 w) over the last axis of a batch of spectra, in bits."""
+    # adding 0.0 turns the negative zero of an all-dropped spectrum into 0
+    return -(w * log2_spectrum(w)).sum(axis=-1) + 0.0
+
+
+def von_neumann_entropy_bits(rho: np.ndarray) -> float:
+    """Entropy -sum(p log2 p) of a density matrix, in bits."""
     w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = w[w > ENTROPY_EIGENVALUE_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+    return float(spectrum_entropy_bits(w))
 
 
 def lambdas_from_alpha(alpha: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 import entcap
 from entcap import capacity as capacity_module
-from entcap.canonical import CanonicalParams, bell_coefficients
+from entcap.canonical import CanonicalParams, bell_coefficients, decompose
 from entcap.capacity import (
     RegionTag,
     capacity_c2,
@@ -31,6 +31,7 @@ from entcap.qcore import (
     CNOT,
     DCNOT,
     IDENTITY4,
+    SWAP,
     PureState,
     build_canonical_unitary,
     make_rng,
@@ -207,6 +208,15 @@ def test_mirrored_a3_gives_the_same_capacity():
         gain, _ = _state_gain(alpha, kind, res.optimal_state)
         gain_m, _ = _state_gain(mirror, kind, res_m.optimal_state)
         assert gain_m == pytest.approx(gain, abs=1e-12)
+
+
+def test_zero_gain_gates_report_exactly_zero():
+    # SWAP's widest eigenphase gap is pi, whose sine rounds to 1.2e-16; gains
+    # depend on the gap only modulo pi, so it must reduce to exactly 0.
+    for gate in (SWAP, IDENTITY4):
+        p = decompose(gate)
+        for capacity, kind, _ in CLOSED_FORMS:
+            assert capacity(p).value == 0.0, kind
 
 
 def test_capacity_module_imports_no_optimizer():

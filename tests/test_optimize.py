@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcap import optimize
 from entcap.canonical import decompose, invariants_match, local_invariants
 from entcap.errors import ConvergenceError, UnsupportedMeasureError
 from entcap.measures import MeasureKind, binary_entropy
@@ -40,8 +41,6 @@ def test_config_validation():
         OptimizerConfig(step_tolerance=-1e-9)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_mode="newton")
 
 
 def test_parameterize_state_basics():
@@ -63,25 +62,33 @@ def test_parameterize_state_interleaves_re_im():
 
 
 def test_analytic_gradient_matches_finite_differences():
-    from entcap.optimize import _CutObjective
-
+    u = build_canonical_unitary((0.3, 0.2, 0.1))
     rng = make_rng(77)
-    obj = _CutObjective(
-        build_canonical_unitary((0.3, 0.2, 0.1)),
-        MeasureKind.CONCURRENCE_SQUARED,
-        0,
-        0,
-    )
-    h = 1e-5
-    eye = np.eye(obj.n_raw)
-    for _ in range(50):
-        raw = rng.standard_normal(obj.n_raw)
-        raw /= np.linalg.norm(raw)
-        grad = obj.gradient(raw)
-        vals = obj.values(np.vstack([raw + h * eye, raw - h * eye]))
-        fd = (vals[: obj.n_raw] - vals[obj.n_raw :]) / (2 * h)
-        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-        assert rel < 1e-5
+    h = 1e-6
+    for measure in MeasureKind:
+        two_qubit_only = measure in (
+            MeasureKind.CONCURRENCE,
+            MeasureKind.CONCURRENCE_SQUARED,
+        )
+        for anc in ((0, 0),) if two_qubit_only else ((0, 0), (1, 1), (2, 2), (1, 0)):
+            free = optimize._CutObjective(u, measure, *anc)
+            objectives = {
+                "free": free,
+                "product": optimize._ProductObjective(u, measure, *anc),
+                "penalized": optimize._PenalizedObjective(free, 0.4, 10.0),
+            }
+            for name, obj in objectives.items():
+                # Unnormalized rows: the gradients must hold off the unit
+                # sphere too, where the polish takes its Hessian differences.
+                raws = 1.7 * rng.standard_normal((4, obj.n_raw))
+                grads = obj.gradients(raws)
+                assert grads.shape == raws.shape
+                eye = np.eye(obj.n_raw)
+                for raw, grad in zip(raws, grads):
+                    vals = obj.values(np.vstack([raw + h * eye, raw - h * eye]))
+                    fd = (vals[: obj.n_raw] - vals[obj.n_raw :]) / (2 * h)
+                    err = np.abs(grad - fd).max()
+                    assert err < 1e-7, (measure.value, anc, name, err)
 
 
 def test_swap_without_ancillas_is_inert():
@@ -103,6 +110,47 @@ def test_swap_with_ancillas_moves_two_ebits():
         SWAP, MeasureKind.ENTROPY_OF_ENTANGLEMENT, anc_a=1, anc_b=1, cfg=FAST
     )
     assert res.value >= 2 - 1e-3
+
+
+def test_swap_with_two_ancillas_certifies():
+    # The saturated optimum sits where reduced-state eigenvalues vanish.  An
+    # entropy kernel that cut eigenvalues at 1e-12 jumped by ~4e-11 there,
+    # enough to fail the central-difference certificate on every restart.
+    res = numeric_capacity(
+        SWAP,
+        MeasureKind.ENTROPY_OF_ENTANGLEMENT,
+        anc_a=2,
+        anc_b=2,
+        cfg=OptimizerConfig(restarts=4),
+    )
+    assert res.converged_restarts >= 1
+    assert res.value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_nan_restart_is_never_best_nor_converged(monkeypatch):
+    real = optimize._ascend
+    seen = []
+
+    def first_restart_nan(objective, raw0, cfg):
+        raw, value, converged = real(objective, raw0, cfg)
+        if not seen:
+            value, converged = math.nan, True
+        seen.append(value)
+        return raw, value, converged
+
+    monkeypatch.setattr(optimize, "_ascend", first_restart_nan)
+    res = numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    assert len(seen) == FAST.restarts
+    assert res.best_restart_seed != FAST.master_seed
+    assert res.converged_restarts <= FAST.restarts - 1
+    assert res.value == pytest.approx(1.0, abs=1e-6)
+
+    def every_restart_nan(objective, raw0, cfg):
+        return raw0, math.nan, True
+
+    monkeypatch.setattr(optimize, "_ascend", every_restart_nan)
+    with pytest.raises(ConvergenceError):
+        numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
 
 
 def test_concurrence_rejects_ancillas():
@@ -184,6 +232,27 @@ def test_family_sweep_rows_and_error_capture():
     assert rows[1].error is None
     assert math.isnan(rows[2].capacity)
     assert "outside" in rows[2].error
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(*args):
+        raise TypeError("a bug, not a domain error")
+
+    monkeypatch.setattr(optimize, "numeric_capacity", broken)
+    with pytest.raises(TypeError):
+        family_sweep(FamilyKind.CNOT, [0.3], MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+
+
+def test_sweep_pool_is_bounded_by_rows_and_cpus(monkeypatch):
+    # Only the computed size is checked; no process is started.
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+    assert optimize._pool_size(1, 75) == 1
+    assert optimize._pool_size(3, 75) == 3
+    assert optimize._pool_size(10_000, 75) == 4
+    assert optimize._pool_size(10_000, 2) == 2
+    assert optimize._pool_size(0, 75) == 1
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: None)
+    assert optimize._pool_size(8, 75) == 1
 
 
 def test_family_sweep_worker_count_is_invisible():
