@@ -19,12 +19,12 @@ from .errors import BranchResolutionError, DimensionMismatchError
 from .qcore import (
     BELL_BASIS,
     PAULI_YY,
+    QUARTER_PI,
     PureState,
     _require_unitary,
     lambdas_from_alpha,
 )
 
-QUARTER_PI = np.pi / 4
 HALF_PI = np.pi / 2
 
 # Width below which eigenphases are treated as degenerate and averaged.
@@ -83,16 +83,14 @@ def u_tilde(u: np.ndarray) -> np.ndarray:
     return PAULI_YY @ u.T @ PAULI_YY
 
 
-def local_invariants(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def local_invariants(u: np.ndarray) -> np.ndarray:
     """Eigenvalues of u_tilde(U) @ U with U scaled to unit determinant.
 
     The four unit-modulus values are constant under local unitaries up to a
     common sign left over from the choice of determinant root; compare
     multisets with ``invariants_match``.
     """
-    u = _require_unitary(np.asarray(u, dtype=complex), atol)
-    if u.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
+    u = _require_unitary(u)
     us = u / np.linalg.det(u) ** 0.25
     vals = np.linalg.eigvals(u_tilde(us) @ us)
     return vals / np.abs(vals)
@@ -186,10 +184,7 @@ def decompose(u: np.ndarray, atol: float = INVARIANT_ATOL) -> CanonicalParams:
     Raises BranchResolutionError when no branch matches, which signals
     numerical degeneracy beyond the clustering tolerance.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
-    _require_unitary(u)
+    u = _require_unitary(u)
     root = np.linalg.det(u) ** 0.25
     for scale in (root, 1j * root, -root, -1j * root):
         us = u / scale

@@ -32,9 +32,7 @@ import numpy as np
 
 from .canonical import CanonicalParams
 from .errors import DimensionMismatchError, NotCanonicalError, NotNormalizedError
-from .qcore import BELL_BASIS, PureState
-
-QUARTER_PI = np.pi / 4
+from .qcore import BELL_BASIS, QUARTER_PI, PureState
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 _TRIANGLES = tuple(list(t) for t in itertools.combinations(range(4), 3))

@@ -32,8 +32,7 @@ from .optimize import (
     numeric_capacity,
     product_start_capacity,
 )
-
-QUARTER_PI = np.pi / 4
+from .qcore import QUARTER_PI, _require_unitary
 
 CSV_HEADER = "alpha,capacity,e0,ef,converged"
 
@@ -107,19 +106,25 @@ def parse_matrix_file(
     path: str, format: str | None = None, unitary_tol: float = 1e-8
 ) -> np.ndarray:
     """Load a 4x4 unitary from disk; format inferred from the extension
-    unless given explicitly."""
+    unless given explicitly.
+
+    The matrix must pass the package's unitarity check at ``unitary_tol``
+    (max entry of U^dagger U - I).  One that passes there but not at the
+    library's own 1e-10 is replaced by its nearest unitary, the polar
+    factor, so that every later check holds; an already unitary matrix is
+    returned unchanged.
+    """
     if format is None:
         format = "json" if path.lower().endswith(".json") else "txt"
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     u = _matrix_from_json(text) if format == "json" else _matrix_from_txt(text)
-    residual = float(np.linalg.norm(u.conj().T @ u - np.eye(4)))
-    if residual > unitary_tol:
-        raise NotUnitaryError(
-            f"matrix is not unitary: residual norm {residual:.6e} "
-            f"exceeds tolerance {unitary_tol:g}"
-        )
-    return u
+    _require_unitary(u, unitary_tol)
+    try:
+        return _require_unitary(u)
+    except NotUnitaryError:
+        w, _, vh = np.linalg.svd(u)
+        return w @ vh
 
 
 def _load_matrix(args) -> np.ndarray:
@@ -283,7 +288,9 @@ def _add_matrix_flags(sub) -> None:
         "--unitary-tol",
         type=float,
         default=1e-8,
-        help="unitarity residual tolerance for parsed matrices",
+        help="largest entry of U^dagger U - I accepted in a parsed matrix; "
+        "accepted matrices that are not unitary to 1e-10 are projected onto "
+        "the nearest unitary",
     )
 
 

@@ -4,6 +4,11 @@ All measures are evaluated across the A|B cut recorded in the state's
 partition labels.  The linear entropy is reported as defined,
 R = 1 - Tr(rho_A^2); for two-qubit cuts that tops out at 1/2, so a rescaled
 variant 2R with range [0, 1] is exposed alongside it.
+
+Each measure has one implementation, the batched kernel
+``entanglement_batch`` over rows of states cut between dim_a and dim_b; the
+scalar functions feed it one row.  ``_cut_terms`` and ``_flip_terms`` return
+the same values with their closed-form gradients, for the optimizer.
 """
 from __future__ import annotations
 
@@ -12,13 +17,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedMeasureError, WrongPartitionError
+from .errors import DimensionMismatchError, UnsupportedMeasureError
 from .qcore import (
     PAULI_YY,
     PureState,
     default_partition,
-    partial_trace,
-    von_neumann_entropy_bits,
+    log2_spectrum,
+    spectrum_entropy_bits,
+    split_across_cut,
 )
 
 
@@ -29,6 +35,82 @@ class MeasureKind(enum.Enum):
     CONCURRENCE_SQUARED = "c2"
     ENTROPY_OF_ENTANGLEMENT = "entropy"
     LINEAR_ENTROPY = "linear"
+
+
+CONCURRENCE_KINDS = (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED)
+
+
+def require_qubit_pair(kind: MeasureKind, dim_a: int, dim_b: int) -> None:
+    """Concurrence variants need exactly one qubit per party."""
+    if kind in CONCURRENCE_KINDS and (dim_a != 2 or dim_b != 2):
+        raise UnsupportedMeasureError(
+            f"{kind.value} needs one qubit per party, got a {dim_a}x{dim_b} cut; "
+            "use entropy or linear entropy for ancilla-extended registers"
+        )
+
+
+def entanglement_batch(
+    states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2
+) -> np.ndarray:
+    """Measure a batch of states given as rows, cut between dim_a and dim_b."""
+    states = np.atleast_2d(states)
+    if kind in CONCURRENCE_KINDS:
+        require_qubit_pair(kind, dim_a, dim_b)
+        vals = np.abs(np.einsum("mi,ij,mj->m", states, PAULI_YY, states))
+        return vals if kind is MeasureKind.CONCURRENCE else vals**2
+    t = states.reshape(-1, dim_a, dim_b)
+    if dim_a <= dim_b:
+        rho = np.einsum("mab,mcb->mac", t, t.conj())
+    else:
+        rho = np.einsum("mab,mac->mbc", t, t.conj())
+    if kind is MeasureKind.LINEAR_ENTROPY:
+        return 1.0 - np.einsum("mab,mab->m", rho, rho.conj()).real
+    if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
+        return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
+    raise UnsupportedMeasureError(f"unknown measure kind {kind!r}")
+
+
+# Closed-form gradients.  A kernel returns each row's entanglement E with
+# dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
+# psi: the optimizer projects that direction out, because every objective
+# depends on its parameters only through normalized states.
+
+
+def _flip_terms(states: np.ndarray, flip: np.ndarray, kind: MeasureKind):
+    """Concurrence |psi^T F psi|, or its square, for the symmetric form F."""
+    w = states @ flip
+    c = np.einsum("mi,mi->m", w, states)
+    grad = 2.0 * c[:, None] * w.conj()
+    if kind is MeasureKind.CONCURRENCE_SQUARED:
+        return np.abs(c) ** 2, grad
+    conc = np.abs(c)
+    # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
+    half_inverse = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
+    return conc, grad * half_inverse[:, None]
+
+
+def _cut_terms(states: np.ndarray, kind: MeasureKind, dim_a: int, dim_b: int):
+    """Linear entropy or entropy across the cut, from the smaller Gram matrix.
+
+    With K = T T^dagger (T the reshaped state), dE/d(conj T) is -2 K T for
+    the linear entropy and -(log2 K) T for the entropy; with K = T^dagger T
+    the factor multiplies T from the right instead.
+    """
+    m = states.shape[0]
+    t = states.reshape(m, dim_a, dim_b)
+    t_dag = t.conj().transpose(0, 2, 1)
+    left = dim_a <= dim_b
+    gram = t @ t_dag if left else t_dag @ t
+    if kind is MeasureKind.LINEAR_ENTROPY:
+        value = 1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real
+        factor = -2.0 * gram
+    else:
+        w, vecs = np.linalg.eigh(gram)
+        logs = log2_spectrum(w)
+        value = -(w * logs).sum(axis=-1)
+        factor = -(vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    grad = factor @ t if left else t @ factor
+    return value, grad.reshape(m, -1)
 
 
 def _as_state(psi) -> PureState:
@@ -43,62 +125,35 @@ def _as_state(psi) -> PureState:
     return PureState(amps, default_partition(n))
 
 
-def _two_qubit_amplitudes(psi) -> np.ndarray:
-    if isinstance(psi, PureState):
-        if psi.n_qubits != 2:
-            raise DimensionMismatchError("concurrence is defined for exactly two qubits")
-        if sorted(psi.partition) != ["A", "B"]:
-            raise WrongPartitionError("concurrence needs one qubit per party")
-        return psi.amplitudes
-    amps = np.asarray(psi, dtype=complex)
-    if amps.shape != (4,):
-        raise DimensionMismatchError(f"expected 4 amplitudes, got shape {amps.shape}")
-    return amps
+def evaluate(kind: MeasureKind, psi, keep: str = "A") -> float:
+    """Measure one state across its A|B cut, as one row of ``entanglement_batch``.
+
+    ``psi`` is a PureState or a raw amplitude vector, split by
+    ``default_partition``.  Concurrence variants need one qubit per party;
+    on a larger (ancilla-extended) register they raise UnsupportedMeasureError.
+    """
+    t = split_across_cut(_as_state(psi), keep)
+    return float(entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0])
 
 
 def concurrence(psi) -> float:
     """|<psi| sigma_y x sigma_y |psi*>| for a two-qubit pure state."""
-    amps = _two_qubit_amplitudes(psi)
-    return float(abs(amps @ PAULI_YY @ amps))
+    return evaluate(MeasureKind.CONCURRENCE, psi)
 
 
 def entropy_of_entanglement(psi, keep: str = "A") -> float:
     """Von Neumann entropy of one party's reduced state, in ebits."""
-    return von_neumann_entropy_bits(partial_trace(_as_state(psi), keep))
+    return evaluate(MeasureKind.ENTROPY_OF_ENTANGLEMENT, psi, keep)
 
 
 def linear_entropy(psi, keep: str = "A") -> float:
     """R = 1 - Tr(rho_A^2), the purity deficit of the reduced state."""
-    rho = partial_trace(_as_state(psi), keep)
-    return float(1.0 - np.einsum("ab,ab->", rho, rho.conj()).real)
+    return evaluate(MeasureKind.LINEAR_ENTROPY, psi, keep)
 
 
 def linear_entropy_rescaled(psi, keep: str = "A") -> float:
     """2R, normalized to reach 1 on a maximally entangled two-qubit state."""
     return 2.0 * linear_entropy(psi, keep)
-
-
-def evaluate(kind: MeasureKind, psi, keep: str = "A") -> float:
-    """Dispatch a measure by kind.
-
-    Concurrence variants are only defined on a plain two-qubit register;
-    asking for them on a larger (ancilla-extended) state raises
-    UnsupportedMeasureError.
-    """
-    state = _as_state(psi)
-    if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED):
-        if state.n_qubits != 2:
-            raise UnsupportedMeasureError(
-                f"{kind.value} is undefined on {state.n_qubits} qubits; "
-                "use entropy or linear entropy for ancilla-extended registers"
-            )
-        c = concurrence(state)
-        return c if kind is MeasureKind.CONCURRENCE else c * c
-    if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
-        return entropy_of_entanglement(state, keep)
-    if kind is MeasureKind.LINEAR_ENTROPY:
-        return linear_entropy(state, keep)
-    raise UnsupportedMeasureError(f"unknown measure kind {kind!r}")
 
 
 def binary_entropy(p: float) -> float:

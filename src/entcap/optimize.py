@@ -28,19 +28,24 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     EntcapError,
-    UnsupportedMeasureError,
     ZeroCapacityError,
 )
-from .measures import MeasureKind
+from .measures import (
+    CONCURRENCE_KINDS,
+    MeasureKind,
+    _cut_terms,
+    _flip_terms,
+    entanglement_batch,
+    require_qubit_pair,
+)
 from .qcore import (
     PAULI_YY,
+    QUARTER_PI,
     PureState,
     _require_unitary,
     build_canonical_unitary,
     default_partition,
-    log2_spectrum,
     make_rng,
-    spectrum_entropy_bits,
 )
 
 _GRAD_STEP = 1e-6
@@ -49,6 +54,8 @@ _ARMIJO_SLOPE = 1e-4
 _CONVERGED_GRAD_NORM = 1e-6
 _STALL_WINDOW = 20
 _LADDER = 0.5 ** np.arange(8)
+# When no ascent rung is accepted, single trials halve the step down to this.
+_STEP_TOLERANCE = 1e-10
 _HESSIAN_STEP = 1e-4
 # Sharp-apex optima contract the gradient by roughly half per polish round
 # from ~1e-3 entry norms, so the cap must cover ~20 halvings with margin;
@@ -62,8 +69,6 @@ _POLISH_LADDER = 0.5 ** np.arange(24)
 # costs 2n gradient rows and an n x n eigendecomposition per round.
 _POLISH_MAX_PARAMS = 64
 
-QUARTER_PI = np.pi / 4
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -72,7 +77,6 @@ class OptimizerConfig:
     restarts: int = 32
     max_iterations: int = 5000
     objective_tolerance: float = 1e-8
-    step_tolerance: float = 1e-10
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,8 +84,8 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.objective_tolerance <= 0 or self.step_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.objective_tolerance <= 0:
+            raise ValueError("objective tolerance must be positive")
 
 
 class FamilyKind(enum.Enum):
@@ -159,71 +163,6 @@ def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
     return ("A",) * (anc_a + 1) + ("B",) * (anc_b + 1)
 
 
-def entanglement_batch(
-    states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2
-) -> np.ndarray:
-    """Measure a batch of states given as rows, cut between dim_a and dim_b."""
-    states = np.atleast_2d(states)
-    if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED):
-        if dim_a != 2 or dim_b != 2:
-            raise UnsupportedMeasureError("concurrence needs a plain two-qubit register")
-        vals = np.abs(np.einsum("mi,ij,mj->m", states, PAULI_YY, states))
-        return vals if kind is MeasureKind.CONCURRENCE else vals**2
-    t = states.reshape(-1, dim_a, dim_b)
-    if dim_a <= dim_b:
-        rho = np.einsum("mab,mcb->mac", t, t.conj())
-    else:
-        rho = np.einsum("mab,mac->mbc", t, t.conj())
-    if kind is MeasureKind.LINEAR_ENTROPY:
-        return 1.0 - np.einsum("mab,mab->m", rho, rho.conj()).real
-    if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
-        return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
-    raise UnsupportedMeasureError(f"unknown measure kind {kind!r}")
-
-
-# Closed-form gradients.  A kernel returns each row's entanglement E with
-# dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
-# psi: _sphere_gradient projects that direction out, because every objective
-# depends on its parameters only through normalized states.
-
-
-def _flip_terms(states: np.ndarray, flip: np.ndarray, kind: MeasureKind):
-    """Concurrence |psi^T F psi|, or its square, for the symmetric form F."""
-    w = states @ flip
-    c = np.einsum("mi,mi->m", w, states)
-    grad = 2.0 * c[:, None] * w.conj()
-    if kind is MeasureKind.CONCURRENCE_SQUARED:
-        return np.abs(c) ** 2, grad
-    conc = np.abs(c)
-    # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
-    half_inverse = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
-    return conc, grad * half_inverse[:, None]
-
-
-def _cut_terms(states: np.ndarray, kind: MeasureKind, dim_a: int, dim_b: int):
-    """Linear entropy or entropy across the cut, from the smaller Gram matrix.
-
-    With K = T T^dagger (T the reshaped state), dE/d(conj T) is -2 K T for
-    the linear entropy and -(log2 K) T for the entropy; with K = T^dagger T
-    the factor multiplies T from the right instead.
-    """
-    m = states.shape[0]
-    t = states.reshape(m, dim_a, dim_b)
-    t_dag = t.conj().transpose(0, 2, 1)
-    left = dim_a <= dim_b
-    gram = t @ t_dag if left else t_dag @ t
-    if kind is MeasureKind.LINEAR_ENTROPY:
-        value = 1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real
-        factor = -2.0 * gram
-    else:
-        w, vecs = np.linalg.eigh(gram)
-        logs = log2_spectrum(w)
-        value = -(w * logs).sum(axis=-1)
-        factor = -(vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    grad = factor @ t if left else t @ factor
-    return value, grad.reshape(m, -1)
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each real row, as a column."""
     return np.sqrt(np.einsum("mi,mi->m", rows, rows))[:, None]
@@ -251,25 +190,17 @@ class _CutObjective:
     def __init__(self, u: np.ndarray, measure: MeasureKind, anc_a: int, anc_b: int):
         if not (0 <= anc_a <= 2 and 0 <= anc_b <= 2):
             raise ValueError("supported ancilla counts are 0, 1 and 2 per side")
-        flip = measure in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED)
-        if flip and (anc_a or anc_b):
-            raise UnsupportedMeasureError(
-                "concurrence variants are undefined with ancillas; "
-                "use entropy or linear entropy"
-            )
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (4, 4):
-            raise DimensionMismatchError(f"expected a 4x4 gate, got shape {u.shape}")
-        _require_unitary(u)
+        self.dim_a = 2 ** (anc_a + 1)
+        self.dim_b = 2 ** (anc_b + 1)
+        require_qubit_pair(measure, self.dim_a, self.dim_b)
+        u = _require_unitary(u)
         self.u = u
         self.u_dag = u.conj().T
         # The output concurrence of psi is that of U psi: |psi^T (U^T M U) psi|.
-        self.flip_out = u.T @ PAULI_YY @ u if flip else None
+        self.flip_out = u.T @ PAULI_YY @ u if measure in CONCURRENCE_KINDS else None
         self.measure = measure
         self.dim_pre = 2**anc_a
         self.dim_post = 2**anc_b
-        self.dim_a = 2 ** (anc_a + 1)
-        self.dim_b = 2 ** (anc_b + 1)
         self.dim = self.dim_a * self.dim_b
         self.partition = ancilla_partition(anc_a, anc_b)
         self.n_raw = 2 * self.dim
@@ -392,12 +323,18 @@ def _fd_gradient(objective, raw: np.ndarray, step: float = _GRAD_STEP) -> np.nda
     return (vals[:n] - vals[n:]) / (2 * step)
 
 
-def _best_rung(objective, raw, value, direction, slope):
-    """Best Armijo-acceptable value along the deep polish ladder, or None."""
-    trials = raw[None, :] + _POLISH_LADDER[:, None] * direction[None, :]
+def _best_rung(objective, raw, value, direction, slope, ladder):
+    """Best Armijo-acceptable (raw, value) among the steps ``ladder`` along
+    ``direction``, whose directional derivative is ``slope``; None if no step
+    is acceptable.
+
+    The best objective wins, not the longest step: the longest barely-
+    improving step stops contracting near an optimum.
+    """
+    trials = raw[None, :] + ladder[:, None] * direction[None, :]
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
-    accepted = trial_vals >= value + _ARMIJO_SLOPE * _POLISH_LADDER * slope
+    accepted = trial_vals >= value + _ARMIJO_SLOPE * ladder * slope
     if not accepted.any():
         return None
     k = int(np.argmax(np.where(accepted, trial_vals, -np.inf)))
@@ -454,9 +391,13 @@ def _newton_polish(objective, raw, value):
                 direction = direction / norm
             slope = float(grad @ direction)
             if slope > 0.0:
-                moved = _best_rung(objective, raw, value, direction, slope)
+                moved = _best_rung(
+                    objective, raw, value, direction, slope, _POLISH_LADDER
+                )
         if moved is None:
-            moved = _best_rung(objective, raw, value, grad, grad_norm**2)
+            moved = _best_rung(
+                objective, raw, value, grad, grad_norm**2, _POLISH_LADDER
+            )
         if moved is None:
             axes = [grad, -grad]
             for j in np.argsort(eigenvalues)[: min(3, n)]:
@@ -511,31 +452,19 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                     step = min(bb, _STEP_CAP)
         prev_raw, prev_grad = raw, grad
         ladder = step * _LADDER
-        trials = raw[None, :] + ladder[:, None] * grad[None, :]
-        trials /= _row_norms(trials)
-        trial_vals = objective.values(trials)
-        # The slope term uses grad_norm**2: the trial displacement is
-        # ladder * grad, whose directional derivative is the squared norm.
-        accepted = trial_vals >= value + _ARMIJO_SLOPE * ladder * grad_norm**2
-        moved = False
-        if accepted.any():
-            # Best objective among the acceptable rungs, not the longest
-            # step: the longest barely-improving step stops contracting near
-            # an optimum.
-            k = int(np.argmax(np.where(accepted, trial_vals, -np.inf)))
-            raw, value, moved = trials[k], float(trial_vals[k]), True
-        else:
-            s = ladder[-1] * 0.5
-            while s > cfg.step_tolerance:
-                trial = raw + s * grad
-                trial /= np.linalg.norm(trial)
-                tv = float(objective.values(trial[None, :])[0])
-                if tv >= value + _ARMIJO_SLOPE * s * grad_norm**2:
-                    raw, value, moved = trial, tv, True
-                    break
-                s *= 0.5
-        if not moved:
+        # Along grad itself the directional derivative is grad_norm**2.
+        moved = _best_rung(objective, raw, value, grad, grad_norm**2, ladder)
+        s = ladder[-1] * 0.5
+        while moved is None and s > _STEP_TOLERANCE:
+            trial = raw + s * grad
+            trial /= np.linalg.norm(trial)
+            tv = float(objective.values(trial[None, :])[0])
+            if tv >= value + _ARMIJO_SLOPE * s * grad_norm**2:
+                moved = trial, tv
+            s *= 0.5
+        if moved is None:
             return finish(raw, value, grad_norm)
+        raw, value = moved
         history.append(value)
         if len(history) > _STALL_WINDOW:
             window_gain = value - history[-1 - _STALL_WINDOW]
@@ -668,8 +597,8 @@ def interconversion_bounds(
     or below ``zero_tol`` means u2 is locally trivial and no finite rate
     exists.
     """
-    _require_unitary(np.asarray(u1, dtype=complex))
-    _require_unitary(np.asarray(u2, dtype=complex))
+    _require_unitary(u1)
+    _require_unitary(u2)
     kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
     cap1 = numeric_capacity(u1, kind, anc_a=1, anc_b=1, cfg=cfg).value
     cap2 = numeric_capacity(u2, kind, anc_a=1, anc_b=1, cfg=cfg).value

@@ -28,12 +28,11 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-300
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+QUARTER_PI = np.pi / 4
+
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_YY = np.kron(PAULI_Y, PAULI_Y)
 
-IDENTITY2 = np.eye(2, dtype=complex)
 IDENTITY4 = np.eye(4, dtype=complex)
 
 # Control on qubit 0 (the most significant bit).
@@ -81,30 +80,21 @@ def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(
-        np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= atol
-    )
-
-
 def _require_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
+    """The package's one gate check: a 4x4 matrix with max|U^dagger U - I| <= atol.
+
+    Returns the matrix as a complex array.
+    """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
-    residual = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if residual > atol:
+    if u.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
+    residual = np.abs(u.conj().T @ u - IDENTITY4).max()
+    # written so that a NaN residual fails too
+    if not residual <= atol:
         raise NotUnitaryError(
-            f"matrix is not unitary: max deviation {residual:.3e} exceeds {atol:.1e}"
+            f"matrix is not unitary: residual {residual:.3e} exceeds tolerance {atol:g}"
         )
     return u
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the high-order qubits."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def default_partition(n_qubits: int) -> tuple[str, ...]:
@@ -159,43 +149,22 @@ class PureState:
         return tuple(i for i, owner in enumerate(self.partition) if owner == label)
 
 
-def apply_to_qubit_pair(
-    u: np.ndarray, psi: PureState, qa: int, qb: int
-) -> PureState:
-    """Apply a 4x4 unitary to qubits (qa, qb), qa on Alice's side, qb on Bob's.
-
-    qa addresses the first tensor factor of u and qb the second.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
-    _require_unitary(u)
-    n = psi.n_qubits
-    if not (0 <= qa < n and 0 <= qb < n) or qa == qb:
-        raise IndexError(f"qubit pair ({qa}, {qb}) invalid for {n} qubits")
-    if psi.partition[qa] != "A":
-        raise WrongPartitionError(f"qubit {qa} is not held by A")
-    if psi.partition[qb] != "B":
-        raise WrongPartitionError(f"qubit {qb} is not held by B")
-    t = psi.amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, (qa, qb), (0, 1)).reshape(4, -1)
-    t = (u @ t).reshape((2, 2) + (2,) * (n - 2))
-    t = np.moveaxis(t, (0, 1), (qa, qb)).reshape(-1)
-    return PureState(t, psi.partition)
-
-
-def partial_trace(psi: PureState, keep: str = "A") -> np.ndarray:
-    """Reduced density matrix of one party's qubits."""
+def split_across_cut(psi: PureState, keep: str = "A") -> np.ndarray:
+    """Amplitudes as a matrix whose rows index ``keep``'s qubits and whose
+    columns index the other party's, each in register order."""
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
     kept = [i for i, owner in enumerate(psi.partition) if owner == keep]
     dropped = [i for i, owner in enumerate(psi.partition) if owner != keep]
     if not kept or not dropped:
-        raise WrongPartitionError(
-            "partial trace needs at least one qubit on each side of the cut"
-        )
+        raise WrongPartitionError("a cut needs at least one qubit on each side")
     t = psi.amplitudes.reshape((2,) * psi.n_qubits)
-    t = t.transpose(kept + dropped).reshape(2 ** len(kept), -1)
+    return t.transpose(kept + dropped).reshape(2 ** len(kept), -1)
+
+
+def partial_trace(psi: PureState, keep: str = "A") -> np.ndarray:
+    """Reduced density matrix of one party's qubits."""
+    t = split_across_cut(psi, keep)
     return t @ t.conj().T
 
 

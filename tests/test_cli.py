@@ -8,6 +8,7 @@ from entcap.cli import CSV_HEADER, _fmt, main, parse_matrix_file
 from entcap.errors import MatrixParseError, NotUnitaryError
 from entcap.qcore import (
     CNOT,
+    _require_unitary,
     DCNOT,
     IDENTITY4,
     SWAP,
@@ -93,8 +94,49 @@ def test_parse_matrix_unitarity_gate(tmp_path):
     path = _write_json(tmp_path / "almost.json", m)
     with pytest.raises(NotUnitaryError, match="residual"):
         parse_matrix_file(path)
-    # an explicit loose tolerance lets the same file through
-    assert parse_matrix_file(path, unitary_tol=0.5)[0, 0] == pytest.approx(1.1)
+    # an explicit loose tolerance lets the same file through, projected onto
+    # its polar factor (here the identity)
+    loose = parse_matrix_file(path, unitary_tol=0.5)
+    _require_unitary(loose)
+    assert np.allclose(loose, np.eye(4), atol=1e-15)
+
+
+def test_unitary_inputs_are_returned_unchanged(tmp_path):
+    a, b = haar_random_local_unitary(5)
+    u = np.kron(a, b) @ build_canonical_unitary((0.6, 0.3, -0.1))
+    assert np.array_equal(parse_matrix_file(_write_json(tmp_path / "u.json", u)), u)
+
+
+# (H x I) CNOT with +-1/sqrt(2) written to 9 digits: the largest entry of
+# U^dagger U - I is 5.3e-10, inside the default --unitary-tol of 1e-8 but
+# outside the library's 1e-10.
+_H_CNOT_9_DIGITS = (
+    "0.707106781 0 0 0.707106781\n"
+    "0 0.707106781 0.707106781 0\n"
+    "0.707106781 0 0 -0.707106781\n"
+    "0 0.707106781 -0.707106781 0\n"
+)
+
+
+def test_near_unitary_matrix_runs_every_command(tmp_path, capsys):
+    path = tmp_path / "h_cnot.txt"
+    path.write_text(_H_CNOT_9_DIGITS)
+    raw = np.loadtxt(path)
+    assert 5e-10 < np.abs(raw.T @ raw - np.eye(4)).max() < 1e-8
+    for argv in (
+        ["decompose"],
+        ["invariants"],
+        ["capacity", "--measure", "c2"],
+    ):
+        assert main([*argv, "--matrix", str(path)]) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "alpha = (0.785398163397, 0, 0)" in out
+    assert "capacity = 1, region OneEbit" in out
+    # four digits put the largest entry of U^dagger U - I at 2e-5
+    path.write_text(_H_CNOT_9_DIGITS.replace("0.707106781", "0.7071"))
+    for argv in (["decompose"], ["invariants"], ["capacity", "--measure", "c2"]):
+        assert main([*argv, "--matrix", str(path)]) == 1
+    assert "residual" in capsys.readouterr().err
 
 
 def test_decompose_output(cnot_file, capsys):

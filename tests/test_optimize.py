@@ -38,8 +38,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(objective_tolerance=0.0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_tolerance=-1e-9)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
 
 

@@ -1,0 +1,166 @@
+"""Property tests: the measure wrappers against the batched kernel, and the
+canonical decomposition on the edges of the canonical cell."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entcap.canonical import (
+    DEGENERACY_TOL,
+    decompose,
+    invariants_match,
+    local_invariants,
+)
+from entcap.errors import UnsupportedMeasureError
+from entcap.measures import (
+    CONCURRENCE_KINDS,
+    MeasureKind,
+    concurrence,
+    entanglement_batch,
+    entropy_of_entanglement,
+    evaluate,
+    linear_entropy,
+)
+from entcap.qcore import (
+    QUARTER_PI,
+    PureState,
+    build_canonical_unitary,
+    haar_random_local_unitary,
+    haar_random_state,
+    haar_random_unitary,
+    lambdas_from_alpha,
+)
+
+FEW = settings(max_examples=25, derandomize=True, deadline=None)
+
+SEEDS = st.integers(0, 2**32 - 1)
+# Two to four qubits in any order of ownership, at least one per party.
+PARTITIONS = (
+    st.lists(st.sampled_from("AB"), min_size=2, max_size=4)
+    .filter(lambda labels: "A" in labels and "B" in labels)
+    .map(tuple)
+)
+UNIT = st.floats(0.0, 1.0)
+
+
+def _a_first_order(partition):
+    """index[i] is the position of register basis state i once A's qubits
+    are moved in front of B's, each party keeping register order."""
+    order = [k for k, p in enumerate(partition) if p == "A"]
+    order += [k for k, p in enumerate(partition) if p == "B"]
+    n = len(partition)
+    index = np.zeros(2**n, dtype=int)
+    for i in range(2**n):
+        bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
+        for pos, k in enumerate(order):
+            index[i] |= bits[k] << (n - 1 - pos)
+    return index
+
+
+def _cut_dims(partition):
+    n_a = partition.count("A")
+    return 2**n_a, 2 ** (len(partition) - n_a)
+
+
+@FEW
+@given(partition=PARTITIONS, seed=SEEDS)
+def test_scalar_measures_equal_batch_on_permuted_state(partition, seed):
+    psi = haar_random_state(len(partition), seed, partition)
+    row = np.empty(psi.dim, dtype=complex)
+    row[_a_first_order(partition)] = psi.amplitudes
+    dims = _cut_dims(partition)
+    for kind in MeasureKind:
+        if kind in CONCURRENCE_KINDS and dims != (2, 2):
+            with pytest.raises(UnsupportedMeasureError):
+                evaluate(kind, psi)
+            continue
+        batch = float(entanglement_batch(row[None, :], kind, *dims)[0])
+        assert evaluate(kind, psi) == batch
+        assert evaluate(kind, psi, "B") == pytest.approx(batch, abs=1e-12)
+    assert entropy_of_entanglement(psi) == evaluate(
+        MeasureKind.ENTROPY_OF_ENTANGLEMENT, psi
+    )
+    assert linear_entropy(psi) == evaluate(MeasureKind.LINEAR_ENTROPY, psi)
+    if dims == (2, 2):
+        assert concurrence(psi) == evaluate(MeasureKind.CONCURRENCE, psi)
+
+
+@FEW
+@given(partition=PARTITIONS, seed=SEEDS)
+def test_measures_invariant_under_local_unitaries(partition, seed):
+    psi = haar_random_state(len(partition), seed, partition)
+    index = _a_first_order(partition)
+    dim_a, dim_b = _cut_dims(partition)
+    # Each party applies one unitary to all of its qubits at once.
+    u_a = haar_random_unitary(dim_a, seed + 1)
+    u_b = haar_random_unitary(dim_b, seed + 2)
+    t = np.empty(psi.dim, dtype=complex)
+    t[index] = psi.amplitudes
+    moved = (u_a @ t.reshape(dim_a, dim_b) @ u_b.T).reshape(-1)[index]
+    rotated = PureState(moved, partition)
+    for kind in MeasureKind:
+        if kind in CONCURRENCE_KINDS and (dim_a, dim_b) != (2, 2):
+            continue
+        assert evaluate(kind, rotated) == pytest.approx(evaluate(kind, psi), abs=1e-10)
+
+
+def _edge_point(edge, u, v, sign):
+    """A canonical triple on one edge of the canonical cell."""
+    if edge == "a1=pi/4":
+        a1 = QUARTER_PI
+        a2 = u * QUARTER_PI
+        a3 = sign * v * a2
+    elif edge == "a1=a2":
+        a1 = a2 = u * QUARTER_PI
+        a3 = sign * v * a2
+    elif edge == "a2=|a3|":
+        a1 = u * QUARTER_PI
+        a2 = v * a1
+        a3 = sign * a2
+    else:
+        a1 = u * QUARTER_PI
+        a2 = v * a1
+        a3 = 0.0
+    return a1, a2, a3
+
+
+def _accuracy(alpha):
+    """Round-trip tolerance of ``decompose`` at ``alpha``.
+
+    decompose replaces chains of eigenphases 2 lambda_j of u_tilde(U) U,
+    each within DEGENERACY_TOL of the next, by their mean.  Near a
+    degeneracy, but not on it, a chain of four can move a phase by up to
+    three clustering widths, far beyond the 1e-9 reached elsewhere.
+    """
+    phases = np.sort(np.mod(2 * lambdas_from_alpha(alpha), 2 * np.pi))
+    gaps = np.diff(np.append(phases, phases[0] + 2 * np.pi))
+    merged = ((gaps > 1e-12) & (gaps <= DEGENERACY_TOL)).any()
+    return 3 * DEGENERACY_TOL if merged else 1e-9
+
+
+@FEW
+@given(
+    edge=st.sampled_from(["a1=pi/4", "a1=a2", "a2=|a3|", "a3=0"]),
+    u=UNIT,
+    v=UNIT,
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=SEEDS,
+)
+def test_decompose_round_trips_on_cell_edges(edge, u, v, sign, seed):
+    alpha = _edge_point(edge, u, v, sign)
+    va, vb = haar_random_local_unitary(seed)
+    wa, wb = haar_random_local_unitary(seed + 1)
+    dressed = np.kron(va, vb) @ build_canonical_unitary(alpha) @ np.kron(wa, wb)
+    got = decompose(dressed)
+    tol = _accuracy(alpha)
+    assert got.is_canonical()
+    assert got.alpha == pytest.approx((alpha[0], alpha[1], abs(alpha[2])), abs=tol)
+    g1, g2, g3 = got.alpha
+    rebuilt = build_canonical_unitary((g1, g2, -g3 if got.conjugated else g3))
+    assert invariants_match(
+        local_invariants(rebuilt), local_invariants(dressed), atol=max(tol, 1e-8)
+    )
+    # On (or within the accuracy of) the a1 = pi/4 face both signs of a3 are
+    # one class, and an a3 within the accuracy of zero has no sign.
+    if alpha[0] < QUARTER_PI - tol and abs(alpha[2]) > tol:
+        assert got.conjugated == (alpha[2] < 0)

@@ -14,17 +14,16 @@ from entcap.qcore import (
     IDENTITY4,
     SWAP,
     PureState,
-    apply_to_qubit_pair,
+    _require_unitary,
     build_canonical_unitary,
     default_partition,
     haar_random_local_unitary,
     haar_random_state,
     haar_random_unitary,
-    is_unitary,
     lambdas_from_alpha,
     make_rng,
     partial_trace,
-    tensor_product,
+    split_across_cut,
     von_neumann_entropy_bits,
 )
 
@@ -60,17 +59,41 @@ def test_pure_state_amplitudes_read_only():
 
 def test_known_gates_are_unitary():
     for u in (CNOT, SWAP, DCNOT, IDENTITY4, BELL_BASIS):
-        assert is_unitary(u)
-    assert not is_unitary(np.ones((4, 4)))
+        _require_unitary(u)
+    with pytest.raises(NotUnitaryError, match="residual"):
+        _require_unitary(np.ones((4, 4)))
     assert np.allclose(SWAP @ SWAP, np.eye(4))
     assert np.allclose(DCNOT, CNOT @ SWAP)
 
 
-def test_tensor_product_matches_kron():
-    rng = make_rng(3)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(tensor_product(a, b), np.kron(a, b))
+def test_unitarity_check_shape_and_nan():
+    with pytest.raises(DimensionMismatchError):
+        _require_unitary(np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        _require_unitary(np.eye(8))
+    nan_gate = np.eye(4, dtype=complex)
+    nan_gate[0, 0] = np.nan
+    with pytest.raises(NotUnitaryError):
+        _require_unitary(nan_gate)
+    # the tolerance bounds the largest entry of U^dagger U - I
+    near = np.eye(4) * (1 + 1e-6)
+    with pytest.raises(NotUnitaryError):
+        _require_unitary(near)
+    assert np.array_equal(_require_unitary(near, 3e-6), near)
+
+
+def test_split_across_cut_orders_party_qubits():
+    amps = np.arange(8, dtype=complex)
+    psi = PureState(amps / np.linalg.norm(amps), ("B", "A", "B"))
+    t = split_across_cut(psi, "A")
+    # rows index qubit 1; columns index qubits (0, 2) in register order
+    expected = psi.amplitudes.reshape(2, 2, 2).transpose(1, 0, 2).reshape(2, 4)
+    assert np.array_equal(t, expected)
+    assert np.array_equal(split_across_cut(psi, "B"), expected.T)
+    with pytest.raises(WrongPartitionError):
+        split_across_cut(PureState(np.eye(4)[0], ("A", "A")))
+    with pytest.raises(ValueError):
+        split_across_cut(psi, "C")
 
 
 def test_partial_trace_bell_state():
@@ -128,35 +151,9 @@ def test_canonical_unitary_bell_eigenbasis():
         a3 = rng.uniform(-a2, a2)
         alpha = np.array([a1, a2, a3])
         u = build_canonical_unitary(alpha)
-        assert is_unitary(u)
+        _require_unitary(u)
         phases = np.exp(1j * lambdas_from_alpha(alpha))
         assert np.allclose(u @ BELL_BASIS, BELL_BASIS * phases[None, :], atol=1e-12)
-
-
-def test_apply_to_qubit_pair_matches_dense_kron():
-    rng = make_rng(33)
-    for _ in range(10):
-        u = haar_random_unitary(4, rng)
-        psi = haar_random_state(4, rng, ("A", "A", "B", "B"))
-        # gate on qubits 1 and 2 of (a, A, B, b), most significant qubit first
-        out = apply_to_qubit_pair(u, psi, 1, 2)
-        dense = np.kron(np.kron(np.eye(2), u), np.eye(2))
-        assert np.allclose(out.amplitudes, dense @ psi.amplitudes, atol=1e-12)
-        assert out.partition == psi.partition
-
-
-def test_apply_to_qubit_pair_two_qubits_plain():
-    psi = PureState(np.array([0, 0, 1, 0], dtype=complex))
-    out = apply_to_qubit_pair(CNOT, psi, 0, 1)
-    assert np.allclose(out.amplitudes, [0, 0, 0, 1])
-
-
-def test_apply_to_qubit_pair_rejects_wrong_side():
-    psi = PureState(np.array([1, 0, 0, 0], dtype=complex))
-    with pytest.raises(WrongPartitionError):
-        apply_to_qubit_pair(CNOT, psi, 1, 0)
-    with pytest.raises(DimensionMismatchError):
-        apply_to_qubit_pair(np.eye(2), psi, 0, 1)
 
 
 def test_haar_state_seeded_and_normalized():
@@ -172,13 +169,14 @@ def test_haar_unitary_seeded():
     u = haar_random_unitary(8, 9)
     v = haar_random_unitary(8, 9)
     assert np.array_equal(u, v)
-    assert is_unitary(u)
+    # an 8x8 matrix is not a gate, so the 4x4 gate check does not apply
+    assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
 
 
 def test_haar_local_unitary_is_product():
     va, vb = haar_random_local_unitary(2)
     u = np.kron(va, vb)
-    assert is_unitary(u)
+    _require_unitary(u)
     assert va.shape == vb.shape == (2, 2)
 
 
