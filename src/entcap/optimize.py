@@ -9,16 +9,26 @@ ascent on the unit sphere of parameters with a backtracking line search.
 Every objective has a closed-form batched gradient; central differences
 serve only the convergence certificate.
 
+All restarts of one search climb in lockstep as one batch: each iteration
+makes one ``gradients`` call for the rows still climbing and one ``values``
+call for all their line-search trials, while every row keeps its own step,
+line search, stall window and exit.  Rows that stop with a measurable
+gradient are then polished one at a time, and the certificates of whole
+restarts share batched ``values`` calls.
+
 Determinism: restart i draws its start from a counter-based generator
-seeded with master_seed + i, and results reduce by (value, then lowest
-seed), so a run is reproducible regardless of how restarts or sweep rows
-are scheduled.
+seeded with master_seed + i, and its result depends only on that seed and
+the config, not on how many restarts climb beside it or on the worker count
+of a sweep.  Results reduce by (value, then lowest seed), so a run is
+reproducible however restarts or sweep rows are scheduled.
 """
 from __future__ import annotations
 
+import collections
 import enum
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -54,9 +64,13 @@ _ARMIJO_SLOPE = 1e-4
 _CONVERGED_GRAD_NORM = 1e-6
 _STALL_WINDOW = 20
 _LADDER = 0.5 ** np.arange(8)
-# When no ascent rung is accepted, single trials halve the step down to this.
+# When no ascent rung is accepted, a halving schedule runs the step down to this.
 _STEP_TOLERANCE = 1e-10
 _HESSIAN_STEP = 1e-4
+# Shifted rows per certificate call: eight c2 restarts (2n = 32 each), or one
+# restart with 2+2 ancillas (2n = 256).  Larger calls save no time at that
+# size and only raise peak memory.
+_CERTIFICATE_ROWS = 256
 # Sharp-apex optima contract the gradient by roughly half per polish round
 # from ~1e-3 entry norms, so the cap must cover ~20 halvings with margin;
 # smooth optima exit in a handful of rounds regardless.
@@ -165,7 +179,7 @@ def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each real row, as a column."""
-    return np.sqrt(np.einsum("mi,mi->m", rows, rows))[:, None]
+    return np.sqrt(_dots(rows, rows))[:, None]
 
 
 def _unit_rows(raw: np.ndarray):
@@ -311,34 +325,97 @@ class _PenalizedObjective:
         return _sphere_gradient(grad, s, norm)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, row by row."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _tangent(vec: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    return vec - (vec @ raw) * raw
+    """Part of each row of ``vec`` orthogonal to the unit row of ``raw``."""
+    return vec - _dots(vec, raw)[..., None] * raw
 
 
-def _fd_gradient(objective, raw: np.ndarray, step: float = _GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient; used only by the convergence certificate."""
-    n = raw.size
-    shifts = step * np.eye(n)
-    vals = objective.values(np.vstack([raw + shifts, raw - shifts]))
-    return (vals[:n] - vals[n:]) / (2 * step)
+def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
+    """Convergence certificate of each unit row of ``raw``: the norm of the
+    tangent part of its central-difference gradient, step 1e-6.
+
+    Whole restarts share each ``values`` call, up to ``_CERTIFICATE_ROWS``
+    shifted rows, so memory does not grow with the restart count.
+    """
+    k, n = raw.shape
+    shifts = _GRAD_STEP * np.eye(n)
+    signed = np.stack([shifts, -shifts])
+    per_call = max(1, _CERTIFICATE_ROWS // (2 * n))
+    vals = np.concatenate([
+        objective.values((raw[i : i + per_call, None, None, :] + signed).reshape(-1, n))
+        for i in range(0, k, per_call)
+    ]).reshape(k, 2, n)
+    grad = _tangent((vals[:, 0] - vals[:, 1]) / (2 * _GRAD_STEP), raw)
+    return np.sqrt(_dots(grad, grad))
 
 
-def _best_rung(objective, raw, value, direction, slope, ladder):
-    """Best Armijo-acceptable (raw, value) among the steps ``ladder`` along
-    ``direction``, whose directional derivative is ``slope``; None if no step
-    is acceptable.
+def _best_rungs(objective, raw, value, direction, slope, ladders):
+    """Best Armijo-acceptable step of every row along its own direction.
+
+    Row i tries the steps ``ladders[i]`` along ``direction[i]``, whose
+    directional derivative is ``slope[i]``; all trials share one ``values``
+    call.  Returns (found, raw, value); a row without an acceptable step has
+    found False and its other entries are meaningless.
 
     The best objective wins, not the longest step: the longest barely-
     improving step stops contracting near an optimum.
     """
-    trials = raw[None, :] + ladder[:, None] * direction[None, :]
+    m, rungs = ladders.shape
+    trials = raw[:, None, :] + ladders[:, :, None] * direction[:, None, :]
+    trials = trials.reshape(m * rungs, -1)
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
-    accepted = trial_vals >= value + _ARMIJO_SLOPE * ladder * slope
-    if not accepted.any():
-        return None
-    k = int(np.argmax(np.where(accepted, trial_vals, -np.inf)))
-    return trials[k], float(trial_vals[k])
+    accepted = trial_vals.reshape(m, rungs) >= (
+        value[:, None] + _ARMIJO_SLOPE * ladders * slope[:, None]
+    )
+    scores = np.where(accepted, trial_vals.reshape(m, rungs), -np.inf)
+    best = np.arange(m) * rungs + np.argmax(scores, axis=1)
+    return accepted.any(axis=1), trials[best], trial_vals[best]
+
+
+def _best_rung(objective, raw, value, direction, slope, ladder):
+    """``_best_rungs`` for one row: (raw, value), or None if no step is
+    acceptable."""
+    found, raws, values = _best_rungs(
+        objective, raw[None, :], np.array([value]), direction[None, :],
+        np.array([slope]), ladder[None, :],
+    )
+    return (raws[0], float(values[0])) if found[0] else None
+
+
+def _first_halving(objective, raw, value, direction, slope, start):
+    """Line-search fallback for rows whose ladder found no acceptable step.
+
+    Row i tries start[i], start[i] / 2, ... while the step exceeds
+    ``_STEP_TOLERANCE`` and takes its first Armijo-acceptable trial, in
+    halving order; all trials share one ``values`` call.  Returns
+    (found, raw, value) as ``_best_rungs``.
+    """
+    m = raw.shape[0]
+    halvings, s = 0, float(start.max())
+    while s > _STEP_TOLERANCE:
+        halvings, s = halvings + 1, s * 0.5
+    steps = start[:, None] * 0.5 ** np.arange(halvings)
+    row, col = np.nonzero(steps > _STEP_TOLERANCE)
+    found = np.zeros(m, dtype=bool)
+    if not row.size:
+        return found, raw, value
+    trials = raw[row] + steps[row, col][:, None] * direction[row]
+    trials /= _row_norms(trials)
+    trial_vals = objective.values(trials)
+    accepted = np.zeros(steps.shape, dtype=bool)
+    bound = value[row] + _ARMIJO_SLOPE * steps[row, col] * slope[row]
+    accepted[row, col] = trial_vals >= bound
+    index = np.zeros(steps.shape, dtype=int)
+    index[row, col] = np.arange(row.size)
+    # argmax of a boolean row is its first True: the first accepted halving.
+    first = index[np.arange(m), np.argmax(accepted, axis=1)]
+    return accepted.any(axis=1), trials[first], trial_vals[first]
 
 
 def _pattern_rung(objective, raw, value, directions):
@@ -409,73 +486,112 @@ def _newton_polish(objective, raw, value):
     return raw, value
 
 
-def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
-    """One restart: returns (raw, value, converged).
-
-    ``converged`` is the certificate at the exit point: the tangent part of
-    the central-difference gradient (step 1e-6) has norm below 1e-6.
-    """
-    raw, value = _climb(objective, raw0, cfg)
-    grad = _tangent(_fd_gradient(objective, raw), raw)
-    return raw, value, float(np.linalg.norm(grad)) < _CONVERGED_GRAD_NORM
-
-
 def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
-    """Projected gradient ascent with curvature-matched steps and a Newton
-    cleanup at stalls; returns (raw, value)."""
-    raw = raw0 / np.linalg.norm(raw0)
-    value = float(objective.values(raw[None, :])[0])
-    n = raw.size
+    """Projected gradient ascent of a (k, n) block of restarts in lockstep.
 
-    def finish(current_raw, current_value, grad_norm):
-        if grad_norm >= _CONVERGED_GRAD_NORM and n <= _POLISH_MAX_PARAMS:
-            return _newton_polish(objective, current_raw, current_value)
-        return current_raw, current_value
+    Every row keeps its own curvature-matched step, Armijo ladder, stall
+    window and iteration count, and leaves the batch where an ascent of that
+    row alone would stop: at a zero gradient, when no step is acceptable, at
+    a stall, at the hard floor or at ``max_iterations``.  An iteration makes
+    one ``gradients`` call on the rows still climbing and one ``values``
+    call for all their ladder trials.  Returns each row's (raw, value) and
+    its gradient norm at the exit, for ``_finish``.
+    """
+    raw = raw0 / _row_norms(raw0)
+    value = objective.values(raw)
+    k, n = raw.shape
+    grad_norm = np.full(k, np.inf)
+    # The climbing rows, compacted: entry i of each array below belongs to
+    # restart rows[i].  Every one of them has moved on every iteration so
+    # far, so the window of past values is a deque of whole arrays.
+    rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
+    prev_r, prev_g = r, np.zeros_like(r)
+    history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
 
-    step = 0.1
-    prev_raw = prev_grad = None
-    history: list[float] = [value]
-    grad_norm = np.inf
-    for _ in range(cfg.max_iterations):
-        grad = _tangent(objective.gradients(raw[None, :])[0], raw)
-        grad_norm = math.sqrt(grad @ grad)
-        if grad_norm < 1e-13:
-            return raw, value
-        if prev_raw is not None:
+    def leave(stop):
+        """Write the rows in ``stop`` back and drop them; returns the mask
+        of the rows that keep climbing."""
+        nonlocal rows, r, v, step, prev_r, prev_g, history
+        raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
+        keep = ~stop
+        rows, r, v, step, prev_r, prev_g = (
+            a[keep] for a in (rows, r, v, step, prev_r, prev_g)
+        )
+        history = collections.deque((h[keep] for h in history), history.maxlen)
+        return keep
+
+    for iteration in range(cfg.max_iterations):
+        grad = _tangent(objective.gradients(r), r)
+        norm = np.sqrt(_dots(grad, grad))
+        grad_norm[rows] = norm
+        flat = norm < 1e-13
+        if flat.any():
+            keep = leave(flat)
+            grad, norm = grad[keep], norm[keep]
+            if not rows.size:
+                break
+        if iteration:
             # Secant (Barzilai-Borwein) step: match the curvature seen along
             # the last move so ill-conditioned ridges do not force a crawl.
-            dx = raw - prev_raw
-            curvature = -(dx @ (grad - prev_grad))
-            if curvature > 0:
-                bb = float((dx @ dx) / curvature)
-                if np.isfinite(bb) and bb > 0:
-                    step = min(bb, _STEP_CAP)
-        prev_raw, prev_grad = raw, grad
-        ladder = step * _LADDER
-        # Along grad itself the directional derivative is grad_norm**2.
-        moved = _best_rung(objective, raw, value, grad, grad_norm**2, ladder)
-        s = ladder[-1] * 0.5
-        while moved is None and s > _STEP_TOLERANCE:
-            trial = raw + s * grad
-            trial /= np.linalg.norm(trial)
-            tv = float(objective.values(trial[None, :])[0])
-            if tv >= value + _ARMIJO_SLOPE * s * grad_norm**2:
-                moved = trial, tv
-            s *= 0.5
-        if moved is None:
-            return finish(raw, value, grad_norm)
-        raw, value = moved
-        history.append(value)
+            dx = r - prev_r
+            curvature = _dots(dx, prev_g - grad)
+            bb = np.divide(
+                _dots(dx, dx), curvature,
+                out=np.zeros_like(curvature), where=curvature > 0,
+            )
+            # bb < inf also fails for NaN.
+            secant = (bb > 0) & (bb < np.inf)
+            step[secant] = np.minimum(bb[secant], _STEP_CAP)
+        prev_r, prev_g = r, grad
+        ladders = step[:, None] * _LADDER
+        # Along grad itself the directional derivative is its squared norm.
+        slope = norm**2
+        found, new_r, new_v = _best_rungs(objective, r, v, grad, slope, ladders)
+        if not found.all():
+            miss = ~found
+            found[miss], new_r[miss], new_v[miss] = _first_halving(
+                objective, r[miss], v[miss], grad[miss], slope[miss],
+                ladders[miss, -1] * 0.5,
+            )
+            if not found.all():
+                keep = leave(~found)
+                norm, new_r, new_v = norm[keep], new_r[keep], new_v[keep]
+                if not rows.size:
+                    break
+        r, v = new_r, new_v
+        history.append(v)
         if len(history) > _STALL_WINDOW:
-            window_gain = value - history[-1 - _STALL_WINDOW]
-            if window_gain < cfg.objective_tolerance:
-                if grad_norm < _CONVERGED_GRAD_NORM or n <= _POLISH_MAX_PARAMS:
-                    return finish(raw, value, grad_norm)
+            window_gain = v - history[0]
+            stalled = window_gain < cfg.objective_tolerance
+            if n > _POLISH_MAX_PARAMS:
                 # Too many parameters for a Hessian solve: keep crawling
                 # while measurable progress remains, with a hard floor.
-                if window_gain < max(1e-13, 1e-5 * cfg.objective_tolerance):
-                    return raw, value
-    return finish(raw, value, grad_norm)
+                floor = max(1e-13, 1e-5 * cfg.objective_tolerance)
+                stalled &= (norm < _CONVERGED_GRAD_NORM) | (window_gain < floor)
+            if stalled.any():
+                leave(stalled)
+                if not rows.size:
+                    break
+    # Rows still climbing stop at the iteration cap.
+    leave(np.ones(rows.size, dtype=bool))
+    return raw, value, grad_norm
+
+
+def _finish(objective, raw: np.ndarray, value: float, grad_norm: float):
+    """One restart's exit from the ascent: the Newton polish if the gradient
+    is still measurable and the problem small enough for Hessians."""
+    if grad_norm >= _CONVERGED_GRAD_NORM and raw.size <= _POLISH_MAX_PARAMS:
+        return _newton_polish(objective, raw, value)
+    return raw, value
+
+
+def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
+    """Climb a (k, n) block of restarts, then finish each one in turn;
+    returns their (raw, value)."""
+    raw, value, grad_norm = _climb(objective, raw0, cfg)
+    for i in range(raw.shape[0]):
+        raw[i], value[i] = _finish(objective, raw[i], float(value[i]), grad_norm[i])
+    return raw, value
 
 
 def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
@@ -483,25 +599,26 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
 
 
 def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
-    best_key = None
-    best_raw = None
+    seeds = [cfg.master_seed + i for i in range(cfg.restarts)]
+    raw0 = np.array([make_rng(seed).standard_normal(objective.n_raw) for seed in seeds])
+    raw, value = _ascend(objective, raw0, cfg)
+    # A restart converged if its certificate at the exit point holds.
+    converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
+    best_key = best = None
     converged_count = 0
-    for i in range(cfg.restarts):
-        seed = cfg.master_seed + i
-        raw0 = make_rng(seed).standard_normal(objective.n_raw)
-        raw, value, converged = _ascend(objective, raw0, cfg)
-        if math.isnan(value):
+    for i, seed in enumerate(seeds):
+        if math.isnan(value[i]):
             # A NaN key never compares less, so it would stick as the best.
             continue
-        converged_count += int(converged)
-        key = (-value, seed)
+        converged_count += int(converged[i])
+        key = (-float(value[i]), seed)
         if best_key is None or key < best_key:
-            best_key, best_raw = key, raw
+            best_key, best = key, i
     if converged_count == 0:
         raise ConvergenceError(
             f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
         )
-    state_row = objective.states(best_raw[None, :])
+    state_row = objective.states(raw[best][None, :])
     e0 = float(objective.initial_entanglement(state_row)[0])
     ef = float(objective.entanglement(objective.evolve(state_row))[0])
     return CapacityResult(
@@ -551,7 +668,9 @@ def minimize_initial_entanglement(
 
     Runs the usual capacity search first, then descends a penalized objective
     -E0 - penalty * hinge(target - gain)^2 from the incumbent, where target is
-    the found capacity minus value_slack.
+    the found capacity minus value_slack.  If the state it reaches falls more
+    than value_slack short of the target, the capacity search's result is
+    returned instead, with a RuntimeWarning.
     """
     cfg = cfg or _default_config(anc_a, anc_b)
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
@@ -560,11 +679,18 @@ def minimize_initial_entanglement(
     amps = base.optimal_state.amplitudes
     raw0 = np.empty(objective.n_raw)
     raw0[0::2], raw0[1::2] = amps.real, amps.imag
-    raw, _ = _climb(_PenalizedObjective(objective, target, penalty), raw0, cfg)
-    state_row = objective.states(raw[None, :])
+    penalized = _PenalizedObjective(objective, target, penalty)
+    raw, _ = _ascend(penalized, raw0[None, :], cfg)
+    state_row = objective.states(raw)
     e0 = float(objective.entanglement(state_row)[0])
     ef = float(objective.entanglement(objective.evolve(state_row))[0])
     if ef - e0 < target - value_slack:
+        warnings.warn(
+            f"penalized search reached gain {ef - e0:.12g}, short of its target "
+            f"{target:.12g}; returning the capacity search's state",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return base
     return CapacityResult(
         value=ef - e0,

@@ -22,9 +22,11 @@ from entcap.optimize import (
 )
 from entcap.qcore import (
     CNOT,
+    DCNOT,
     IDENTITY4,
     SWAP,
     build_canonical_unitary,
+    haar_random_local_unitary,
     make_rng,
 )
 
@@ -126,29 +128,71 @@ def test_swap_with_two_ancillas_certifies():
 
 
 def test_nan_restart_is_never_best_nor_converged(monkeypatch):
-    real = optimize._ascend
+    real = optimize._finish
     seen = []
 
-    def first_restart_nan(objective, raw0, cfg):
-        raw, value, converged = real(objective, raw0, cfg)
+    def first_restart_nan(objective, raw, value, grad_norm):
+        # The first restart's exit reports NaN at a point that certifies.
+        raw, value = real(objective, raw, value, grad_norm)
         if not seen:
-            value, converged = math.nan, True
+            value = math.nan
         seen.append(value)
-        return raw, value, converged
+        return raw, value
 
-    monkeypatch.setattr(optimize, "_ascend", first_restart_nan)
+    monkeypatch.setattr(optimize, "_finish", first_restart_nan)
     res = numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
     assert len(seen) == FAST.restarts
     assert res.best_restart_seed != FAST.master_seed
     assert res.converged_restarts <= FAST.restarts - 1
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    def every_restart_nan(objective, raw0, cfg):
-        return raw0, math.nan, True
+    def every_restart_nan(objective, raw, value, grad_norm):
+        return raw, math.nan
 
-    monkeypatch.setattr(optimize, "_ascend", every_restart_nan)
+    monkeypatch.setattr(optimize, "_finish", every_restart_nan)
     with pytest.raises(ConvergenceError):
         numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+
+
+REGION_1_GATE = build_canonical_unitary((0.3, 0.2, 0.1))
+REGION_2_GATE = build_canonical_unitary((0.7, 0.5, 0.3))
+
+
+def _dressed(seed, alpha):
+    va, vb = haar_random_local_unitary(seed)
+    wa, wb = haar_random_local_unitary(seed + 1)
+    return np.kron(va, vb) @ build_canonical_unitary(alpha) @ np.kron(wa, wb)
+
+
+@pytest.mark.parametrize(
+    "u, measure, anc",
+    [
+        (CNOT, MeasureKind.CONCURRENCE_SQUARED, (0, 0)),
+        (DCNOT, MeasureKind.CONCURRENCE_SQUARED, (0, 0)),
+        (REGION_1_GATE, MeasureKind.CONCURRENCE_SQUARED, (0, 0)),
+        (REGION_2_GATE, MeasureKind.CONCURRENCE_SQUARED, (0, 0)),
+        (REGION_1_GATE, MeasureKind.LINEAR_ENTROPY, (0, 0)),
+        (
+            _dressed(3, (np.pi / 8, np.pi / 8, 0.0)),
+            MeasureKind.ENTROPY_OF_ENTANGLEMENT,
+            (1, 1),
+        ),
+    ],
+    ids=["c2-cnot", "c2-dcnot", "c2-region1", "c2-region2", "linear", "entropy-a11"],
+)
+def test_restart_result_independent_of_batch(u, measure, anc):
+    # Restarts climb in lockstep, but each one's path, polish and
+    # certificate must depend only on its own seed.
+    objective = optimize._CutObjective(u, measure, *anc)
+    cfg = OptimizerConfig(restarts=8)
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+    raw, value = optimize._ascend(objective, raw0, cfg)
+    certificate = optimize._certificate_norms(objective, raw)
+    for i in range(8):
+        alone_raw, alone_value = optimize._ascend(objective, raw0[i : i + 1], cfg)
+        alone_certificate = optimize._certificate_norms(objective, alone_raw)
+        assert abs(alone_value[0] - value[i]) <= 1e-12, i
+        assert abs(alone_certificate[0] - certificate[i]) <= 1e-12, i
 
 
 def test_concurrence_rejects_ancillas():
@@ -288,3 +332,16 @@ def test_minimize_initial_entanglement_cnot_reaches_product():
     low = minimize_initial_entanglement(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
     assert low.value >= 1 - 1e-6
     assert low.initial_entanglement < 1e-6
+
+
+def test_minimize_initial_entanglement_warns_when_search_misses_target():
+    # Without the penalty the search only lowers E0 and drifts off capacity.
+    u = build_canonical_unitary((0.15, 0.1, 0.05))
+    base = numeric_capacity(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    with pytest.warns(RuntimeWarning, match="short of its target"):
+        low = minimize_initial_entanglement(
+            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, penalty=0.0
+        )
+    assert low.value == base.value
+    assert low.initial_entanglement == base.initial_entanglement
+    assert np.array_equal(low.optimal_state.amplitudes, base.optimal_state.amplitudes)

@@ -1,5 +1,7 @@
-"""Property tests: the measure wrappers against the batched kernel, and the
-canonical decomposition on the edges of the canonical cell."""
+"""Property tests: the measure wrappers against the batched kernel, the
+canonical decomposition on the edges of the canonical cell, and the
+closed-form capacities under local unitaries, conjugation and on the region
+boundaries."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,14 @@ from entcap.canonical import (
     decompose,
     invariants_match,
     local_invariants,
+)
+from entcap.capacity import (
+    RegionTag,
+    capacity_c2,
+    capacity_concurrence,
+    capacity_entropy_no_ancilla,
+    capacity_linear_entropy,
+    region_of,
 )
 from entcap.errors import UnsupportedMeasureError
 from entcap.measures import (
@@ -164,3 +174,72 @@ def test_decompose_round_trips_on_cell_edges(edge, u, v, sign, seed):
     # one class, and an a3 within the accuracy of zero has no sign.
     if alpha[0] < QUARTER_PI - tol and abs(alpha[2]) > tol:
         assert got.conjugated == (alpha[2] < 0)
+
+
+CAPACITIES = (
+    capacity_c2,
+    capacity_concurrence,
+    capacity_linear_entropy,
+    capacity_entropy_no_ancilla,
+)
+
+
+def _boundary_distance(alpha):
+    a1, a2, a3 = alpha
+    return min(abs(a1 + a2 - QUARTER_PI), abs(a2 + abs(a3) - QUARTER_PI))
+
+
+@FEW
+@given(u=UNIT, v=UNIT, w=UNIT, sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
+def test_capacities_invariant_under_local_unitaries_and_conjugation(
+    u, v, w, sign, seed
+):
+    a1 = u * QUARTER_PI
+    alpha = (a1, v * a1, sign * w * v * a1)
+    va, vb = haar_random_local_unitary(seed)
+    wa, wb = haar_random_local_unitary(seed + 1)
+    dressed = np.kron(va, vb) @ build_canonical_unitary(alpha) @ np.kron(wa, wb)
+    tol = _accuracy(alpha)
+    for gate in (dressed, dressed.conj()):
+        got = decompose(gate)
+        for capacity in CAPACITIES:
+            want, have = capacity(alpha), capacity(got)
+            assert have.value == pytest.approx(want.value, abs=10 * tol)
+            # A tag is a step function: within decompose's accuracy of a
+            # region boundary either side is right.
+            if _boundary_distance(alpha) > tol:
+                assert have.region is want.region
+
+
+@FEW
+@given(u=UNIT, w=UNIT, z=UNIT, sign=st.sampled_from([1.0, -1.0]))
+def test_region_tags_on_region_boundaries(u, w, z, sign):
+    step = 1e-12
+    # a1 + a2 = pi/4: Sterbenz makes pi/4 - a1 exact for a1 in [pi/8, pi/4],
+    # so the sum is pi/4 in floating point too.
+    a1 = min(QUARTER_PI / 2 + u * QUARTER_PI / 2, QUARTER_PI)
+    a2 = QUARTER_PI - a1
+    a3 = sign * w * a2
+    assert a1 + a2 == QUARTER_PI
+    for capacity in CAPACITIES:
+        assert capacity((a1, a2, a3)).region is RegionTag.ONE_EBIT
+    assert capacity_c2((a1, a2, a3)).value == 1.0
+    # Just below the boundary: lower a1, or a2 when a1 has no room above it.
+    below = (a1 - step, a2, a3) if a1 - step >= a2 else (a1, a2 - step, a3)
+    below = (below[0], below[1], np.clip(below[2], -below[1], below[1]))
+    assert region_of(below) is RegionTag.REGION_1
+
+    # a2 + |a3| = pi/4, likewise exact for a2 in [pi/8, pi/4].
+    a2 = min(QUARTER_PI / 2 + w * QUARTER_PI / 2, QUARTER_PI)
+    a3 = QUARTER_PI - a2
+    a1 = a2 + z * (QUARTER_PI - a2)
+    assert a2 + a3 == QUARTER_PI
+    for capacity in CAPACITIES:
+        assert capacity((a1, a2, sign * a3)).region is RegionTag.ONE_EBIT
+    assert capacity_c2((a1, a2, sign * a3)).value == 1.0
+    # Just above it: raise |a3|, or a2 (and a1 with it) when a3 has no room.
+    if a3 + step <= a2:
+        above = (a1, a2, sign * (a3 + step))
+    else:
+        above = (max(a1, a2 + step), a2 + step, sign * a3)
+    assert region_of(above) is RegionTag.REGION_2
