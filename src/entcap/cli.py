@@ -19,7 +19,6 @@ from .capacity import (
     capacity_concurrence,
     capacity_entropy_no_ancilla,
     capacity_linear_entropy,
-    region_of,
 )
 from .errors import EntcapError, MatrixParseError, NotUnitaryError
 from .measures import MeasureKind
@@ -43,8 +42,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_angle(x: float) -> str:
-    # The decomposition is accurate to ~1e-9; angles this far below that are
-    # pure floating-point residue and print as zero.
+    # The decomposition is accurate to ~1e-15; angles below 1e-12 print as
+    # zero so that rounding residue never shows as an interaction.
     return "0" if abs(x) < 1e-12 else _fmt(x)
 
 
@@ -180,21 +179,8 @@ _ANALYTIC_CAPACITY = {
 
 
 def _cmd_capacity(args) -> int:
-    u = _load_matrix(args)
-    kind = MeasureKind(args.measure)
-    params = None
-    try:
-        params = decompose(u)
-        result = _ANALYTIC_CAPACITY[kind](params)
-    except EntcapError:
-        if not args.numeric_fallback:
-            raise
-        region = region_of(params).value if params is not None else "unknown"
-        res = numeric_capacity(u, kind, cfg=_config_from(args))
-        print(f"capacity = {_fmt(res.value)}, region {region}")
-        print(f"initial_entanglement = {_fmt(res.initial_entanglement)}")
-        print("method = numeric")
-        return 0
+    params = decompose(_load_matrix(args))
+    result = _ANALYTIC_CAPACITY[MeasureKind(args.measure)](params)
     print(f"capacity = {_fmt(result.value)}, region {result.region.value}")
     print(f"initial_entanglement = {_fmt(result.initial_entanglement)}")
     if result.rescaled_value is not None:
@@ -328,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure",
         required=True,
         choices=tuple(m.value for m in MeasureKind),
-    )
-    _add_optimizer_flags(
-        sub.add_argument_group("numeric fallback", "used only with --numeric-fallback")
-    )
-    sub.add_argument(
-        "--numeric-fallback",
-        action="store_true",
-        help="fall back to the numeric optimizer if the closed form fails",
     )
     sub.set_defaults(handler=_cmd_capacity)
 

@@ -25,10 +25,6 @@ class NotNormalizedError(EntcapError, ValueError):
     """Coefficient vector does not have unit norm."""
 
 
-class BranchResolutionError(EntcapError, RuntimeError):
-    """No eigenphase branch assignment reproduces the input's invariants."""
-
-
 class ConvergenceError(EntcapError, RuntimeError):
     """Numerical optimization failed to converge."""
 

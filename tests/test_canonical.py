@@ -106,6 +106,21 @@ def test_decompose_reports_conjugation():
     assert got.conjugated
 
 
+def test_decompose_face_convention():
+    # On the a1 = pi/4 face (pi/4, a2, a3) and (pi/4, a2, -a3) are one class:
+    # a3 comes back non-negative and unconjugated whatever its sign.
+    for alpha in ((QUARTER_PI, 0.2, 0.1), (QUARTER_PI, 0.3, -0.2)):
+        for seed in range(8):
+            rng = make_rng(seed)
+            va, vb = haar_random_local_unitary(rng)
+            wa, wb = haar_random_local_unitary(rng)
+            dressed = np.kron(va, vb) @ build_canonical_unitary(alpha) @ np.kron(wa, wb)
+            got = decompose(dressed)
+            expected = (QUARTER_PI, alpha[1], abs(alpha[2]))
+            assert got.alpha == pytest.approx(expected, abs=1e-12)
+            assert not got.conjugated
+
+
 def test_decompose_rejects_bad_input():
     with pytest.raises(NotUnitaryError):
         decompose(np.ones((4, 4)))

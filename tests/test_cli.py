@@ -230,6 +230,8 @@ def test_exit_codes(cnot_file, tmp_path, capsys):
     assert main(["decompose"]) == 2
     assert main(["capacity", "--matrix", cnot_file]) == 2
     assert main(["capacity", "--matrix", cnot_file, "--measure", "c2", "--bogus"]) == 2
+    for flag in ("--numeric-fallback", "--restarts=4"):
+        assert main(["capacity", "--matrix", cnot_file, "--measure", "c2", flag]) == 2
     assert main(["not-a-command"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
