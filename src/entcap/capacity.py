@@ -43,6 +43,10 @@ _ORIGIN_WEIGHTS = np.array([0.0, 0.0, 1.0])
 # period, so the best grid point's two neighbours bracket it.
 _PHASE_GRID = np.linspace(0.0, np.pi, 257)
 
+# Boundaries are a few ulps of pi/4 wide, so that the tag of a gate on one
+# does not hang on the last bit of ``decompose`` (accurate to ~6e-16).
+BOUNDARY_TOL = 1e-14
+
 
 class RegionTag(Enum):
     """Which regime of canonical parameter space a gate falls in."""
@@ -85,7 +89,7 @@ def region_of(p) -> RegionTag:
     p = _require_canonical(p)
     a1, a2, a3 = p.alpha
     a3 = abs(a3)
-    if a1 + a2 >= QUARTER_PI and a2 + a3 <= QUARTER_PI:
+    if a1 + a2 >= QUARTER_PI - BOUNDARY_TOL and a2 + a3 <= QUARTER_PI + BOUNDARY_TOL:
         return RegionTag.ONE_EBIT
     if a1 + a2 < QUARTER_PI:
         return RegionTag.REGION_1

@@ -48,8 +48,9 @@ def _fmt_angle(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
+    # Parts below 1e-12 are ``eigvals`` residue and print as zero, as angles do.
+    sign = "-" if z.imag <= -1e-12 else "+"
+    return f"{_fmt_angle(z.real)}{sign}{_fmt_angle(abs(z.imag))}i"
 
 
 def _parse_complex_token(token: str) -> complex:

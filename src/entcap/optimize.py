@@ -13,8 +13,9 @@ All restarts of one search climb in lockstep as one batch: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
 call for all their line-search trials, while every row keeps its own step,
 line search, stall window and exit.  Rows that stop with a measurable
-gradient are then polished one at a time, and the certificates of whole
-restarts share batched ``values`` calls.
+gradient, or whose gradient shrinks too slowly, are then polished together
+(one batch of Hessians and one batched ``eigh`` per round), and the
+certificates of whole restarts share batched ``values`` calls.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and its result depends only on that seed and
@@ -67,9 +68,9 @@ _LADDER = 0.5 ** np.arange(8)
 # When no ascent rung is accepted, a halving schedule runs the step down to this.
 _STEP_TOLERANCE = 1e-10
 _HESSIAN_STEP = 1e-4
-# Shifted rows per certificate call: eight c2 restarts (2n = 32 each), or one
-# restart with 2+2 ancillas (2n = 256).  Larger calls save no time at that
-# size and only raise peak memory.
+# Shifted rows per central-difference call (certificates, polish Hessians):
+# 16 c2 restarts, 4 at 1+1 ancillas, 1 at 2+2.  Larger calls save no time at
+# that size and only raise peak memory.
 _CERTIFICATE_ROWS = 256
 # Sharp-apex optima contract the gradient by roughly half per polish round
 # from ~1e-3 entry norms, so the cap must cover ~20 halvings with margin;
@@ -82,6 +83,8 @@ _POLISH_LADDER = 0.5 ** np.arange(24)
 # Larger problems skip the Newton polish and run plain ascent: a Hessian
 # costs 2n gradient rows and an n x n eigendecomposition per round.
 _POLISH_MAX_PARAMS = 64
+# Multiplier updates of the penalized search, one ascent each.
+_MULTIPLIER_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,8 @@ class _ProductObjective(_CutObjective):
 
 
 class _PenalizedObjective:
-    """-E0 - penalty * hinge(target - gain)^2 over unrestricted states."""
+    """-E0 - penalty * hinge(target - gain)^2 over unrestricted states; the
+    method of multipliers moves ``target`` and raises ``penalty``."""
 
     def __init__(self, objective: _CutObjective, target: float, penalty: float):
         self.objective = objective
@@ -335,57 +339,58 @@ def _tangent(vec: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return vec - _dots(vec, raw)[..., None] * raw
 
 
-def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
-    """Convergence certificate of each unit row of ``raw``: the norm of the
-    tangent part of its central-difference gradient, step 1e-6.
+def _central_differences(fn, raw: np.ndarray, step: float) -> np.ndarray:
+    """Entry [i, j] is (fn(raw_i + step e_j) - fn(raw_i - step e_j)) / (2 step).
 
-    Whole restarts share each ``values`` call, up to ``_CERTIFICATE_ROWS``
-    shifted rows, so memory does not grow with the restart count.
-    """
+    Whole rows share each ``fn`` call, up to ``_CERTIFICATE_ROWS`` shifted
+    rows, so memory does not grow with the row count."""
     k, n = raw.shape
-    shifts = _GRAD_STEP * np.eye(n)
+    shifts = step * np.eye(n)
     signed = np.stack([shifts, -shifts])
     per_call = max(1, _CERTIFICATE_ROWS // (2 * n))
-    vals = np.concatenate([
-        objective.values((raw[i : i + per_call, None, None, :] + signed).reshape(-1, n))
+    out = np.concatenate([
+        fn((raw[i : i + per_call, None, None, :] + signed).reshape(-1, n))
         for i in range(0, k, per_call)
-    ]).reshape(k, 2, n)
-    grad = _tangent((vals[:, 0] - vals[:, 1]) / (2 * _GRAD_STEP), raw)
+    ])
+    out = out.reshape(k, 2, n, *out.shape[1:])
+    return (out[:, 0] - out[:, 1]) / (2 * step)
+
+
+def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
+    """Convergence certificate of each unit row of ``raw``: the norm of the
+    tangent part of its central-difference gradient, step 1e-6."""
+    grad = _tangent(_central_differences(objective.values, raw, _GRAD_STEP), raw)
     return np.sqrt(_dots(grad, grad))
 
 
-def _best_rungs(objective, raw, value, direction, slope, ladders):
-    """Best Armijo-acceptable step of every row along its own direction.
+def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
+    """Best acceptable step of every row along its own directions.
 
-    Row i tries the steps ``ladders[i]`` along ``direction[i]``, whose
-    directional derivative is ``slope[i]``; all trials share one ``values``
-    call.  Returns (found, raw, value); a row without an acceptable step has
-    found False and its other entries are meaningless.
+    Row i tries the steps ``ladders[i]`` along ``direction[i]``, of shape
+    (n,) or (d, n) for d directions; a trial is acceptable if it beats
+    value[i] + margin by the Armijo share of the rise that the directional
+    derivative ``slope[i]`` predicts.  All trials share one ``values`` call.
+    Returns (found, raw, value); entries of rows with found False are junk.
 
     The best objective wins, not the longest step: the longest barely-
-    improving step stops contracting near an optimum.
+    improving step stops contracting near an optimum.  Rule: the polish and
+    the climb with n <= _POLISH_MAX_PARAMS take the best of the whole
+    ladder; a climb on a larger problem, which no polish follows, tries its
+    secant step alone first and the rest of the ladder only where it fails.
     """
-    m, rungs = ladders.shape
-    trials = raw[:, None, :] + ladders[:, :, None] * direction[:, None, :]
-    trials = trials.reshape(m * rungs, -1)
+    m, n = raw.shape
+    direction = direction.reshape(m, -1, n)
+    trials = raw[:, None, None] + ladders[:, None, :, None] * direction[:, :, None]
+    trials = trials.reshape(-1, n)
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
-    accepted = trial_vals.reshape(m, rungs) >= (
-        value[:, None] + _ARMIJO_SLOPE * ladders * slope[:, None]
+    steps = np.tile(ladders, direction.shape[1])
+    accepted = trial_vals.reshape(m, -1) >= (
+        value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
     )
-    scores = np.where(accepted, trial_vals.reshape(m, rungs), -np.inf)
-    best = np.arange(m) * rungs + np.argmax(scores, axis=1)
+    scores = np.where(accepted, trial_vals.reshape(m, -1), -np.inf)
+    best = np.arange(m) * steps.shape[1] + np.argmax(scores, axis=1)
     return accepted.any(axis=1), trials[best], trial_vals[best]
-
-
-def _best_rung(objective, raw, value, direction, slope, ladder):
-    """``_best_rungs`` for one row: (raw, value), or None if no step is
-    acceptable."""
-    found, raws, values = _best_rungs(
-        objective, raw[None, :], np.array([value]), direction[None, :],
-        np.array([slope]), ladder[None, :],
-    )
-    return (raws[0], float(values[0])) if found[0] else None
 
 
 def _first_halving(objective, raw, value, direction, slope, start):
@@ -418,71 +423,61 @@ def _first_halving(objective, raw, value, direction, slope, start):
     return accepted.any(axis=1), trials[first], trial_vals[first]
 
 
-def _pattern_rung(objective, raw, value, directions):
-    """Derivative-free fallback: deep-ladder probes along several signed
-    directions at once, keeping any improvement certified above roundoff.
-
-    Sharp apexes defeat the gradient (the entropy has a kink at product
-    states, where its sign carries no information about the optimum), so the
-    probes must not trust it beyond supplying candidate axes.
-    """
-    stacked = np.vstack(
-        [raw[None, :] + _POLISH_LADDER[:, None] * d[None, :] for d in directions]
-    )
-    stacked /= _row_norms(stacked)
-    trial_vals = objective.values(stacked)
-    k = int(np.argmax(trial_vals))
-    if trial_vals[k] < value + 1e-14:
-        return None
-    return stacked[k], float(trial_vals[k])
-
-
-def _newton_polish(objective, raw, value):
-    """Second-order cleanup once first-order progress stalls.
+def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
+    """Second-order cleanup of a (k, n) block of rows in lockstep.
 
     Saturating optima sit on nearly flat ridges where gradient steps crawl;
     damped Newton steps restricted to the negative-curvature subspace contract
     the gradient below the convergence threshold.  When the quadratic model
-    misjudges the scale (sharp apexes), plain gradient rungs take over.  The
-    Hessian is central differences of closed-form gradients, 2n rows at once.
+    misjudges the scale (sharp apexes), plain gradient rungs take over, then
+    probes along the gradient and the three most negative curvature axes,
+    keeping any gain above roundoff: at the entropy's kink at product states
+    the gradient's sign says nothing.  A round makes one ``gradients`` call,
+    one for the rows' Hessians (2n rows each), one batched ``eigh`` and one
+    ``values`` call per rung that some row tries; a row leaves when its
+    gradient is below the threshold or no rung improves it.
     """
-    n = raw.size
-    hshifts = _HESSIAN_STEP * np.eye(n)
-    for _ in range(_POLISH_ROUNDS):
-        grad = _tangent(objective.gradients(raw[None, :])[0], raw)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < _CONVERGED_GRAD_NORM:
+    raw, value = raw.copy(), value.copy()
+    rows, rounds = np.arange(raw.shape[0]), 0
+    while rows.size and rounds < _POLISH_ROUNDS:
+        r, v, rounds = raw[rows], value[rows], rounds + 1
+        grad = _tangent(objective.gradients(r), r)
+        norm = np.sqrt(_dots(grad, grad))
+        live = norm >= _CONVERGED_GRAD_NORM
+        rows, r, v, grad, norm = rows[live], r[live], v[live], grad[live], norm[live]
+        if not rows.size:
             break
-        shifted = objective.gradients(np.vstack([raw + hshifts, raw - hshifts]))
-        hess = (shifted[:n] - shifted[n:]).T / (2 * _HESSIAN_STEP)
-        hess = 0.5 * (hess + hess.T)
-        eigenvalues, eigenvectors = np.linalg.eigh(hess)
-        scale = max(float(np.max(np.abs(eigenvalues))), 1e-300)
-        keep = eigenvalues < -1e-12 * scale
-        moved = None
-        if keep.any():
-            coeff = (eigenvectors[:, keep].T @ grad) / -eigenvalues[keep]
-            direction = _tangent(eigenvectors[:, keep] @ coeff, raw)
-            norm = float(np.linalg.norm(direction))
-            if norm > 1.0:
-                direction = direction / norm
-            slope = float(grad @ direction)
-            if slope > 0.0:
-                moved = _best_rung(
-                    objective, raw, value, direction, slope, _POLISH_LADDER
+        hess = _central_differences(objective.gradients, r, _HESSIAN_STEP)
+        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hess + hess.swapaxes(1, 2)))
+        scale = np.maximum(np.abs(eigenvalues).max(axis=1), 1e-300)
+        keep = eigenvalues < -1e-12 * scale[:, None]
+        coeff = np.divide(
+            np.einsum("mji,mj->mi", eigenvectors, grad), -eigenvalues,
+            out=np.zeros_like(eigenvalues), where=keep,
+        )
+        newton = _tangent(np.einsum("mij,mj->mi", eigenvectors, coeff), r)
+        newton /= np.maximum(np.sqrt(_dots(newton, newton)), 1.0)[:, None]
+        newton_slope = _dots(grad, newton)
+        # Eigenvalues ascend, so the first columns are the most negative axes.
+        axes = np.concatenate([grad[:, None], eigenvectors[:, :, :3].swapaxes(1, 2)], 1)
+        probes = np.stack([axes, -axes], axis=2).reshape(rows.size, -1, r.shape[1])
+        ladder = np.broadcast_to(_POLISH_LADDER, (rows.size, _POLISH_LADDER.size))
+        moved = np.zeros(rows.size, dtype=bool)
+        for tried, direction, slope, margin in (
+            (keep.any(axis=1) & (newton_slope > 0.0), newton, newton_slope, 0.0),
+            (True, grad, norm**2, 0.0),
+            (True, probes, np.zeros(rows.size), 1e-14),
+        ):
+            tried = tried & ~moved
+            if tried.any():
+                found, new_r, new_v = _best_rungs(
+                    objective, r[tried], v[tried], direction[tried], slope[tried],
+                    ladder[tried], margin,
                 )
-        if moved is None:
-            moved = _best_rung(
-                objective, raw, value, grad, grad_norm**2, _POLISH_LADDER
-            )
-        if moved is None:
-            axes = [grad, -grad]
-            for j in np.argsort(eigenvalues)[: min(3, n)]:
-                axes.extend([eigenvectors[:, j], -eigenvectors[:, j]])
-            moved = _pattern_rung(objective, raw, value, axes)
-        if moved is None:
-            break
-        raw, value = moved
+                at = np.flatnonzero(tried)[found]
+                r[at], v[at], moved[at] = new_r[found], new_v[found], True
+        raw[rows], value[rows] = r, v
+        rows = rows[moved]
     return raw, value
 
 
@@ -492,10 +487,13 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     Every row keeps its own curvature-matched step, Armijo ladder, stall
     window and iteration count, and leaves the batch where an ascent of that
     row alone would stop: at a zero gradient, when no step is acceptable, at
-    a stall, at the hard floor or at ``max_iterations``.  An iteration makes
-    one ``gradients`` call on the rows still climbing and one ``values``
-    call for all their ladder trials.  Returns each row's (raw, value) and
-    its gradient norm at the exit, for ``_finish``.
+    a stall, at the hard floor or at ``max_iterations``.  With n <=
+    _POLISH_MAX_PARAMS a row also leaves when its gradient norm has not
+    halved over the stall window: such a crawl can gain more than the
+    tolerance in every window for thousands of iterations, and the polish
+    ends it in a few rounds.  An iteration makes one ``gradients`` call and
+    one ``values`` call for the ladder trials (two on large problems).
+    Returns each row's (raw, value) and its gradient norm at the exit.
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -507,17 +505,20 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
     prev_r, prev_g = r, np.zeros_like(r)
     history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
+    norms = collections.deque(maxlen=_STALL_WINDOW)
 
     def leave(stop):
         """Write the rows in ``stop`` back and drop them; returns the mask
         of the rows that keep climbing."""
-        nonlocal rows, r, v, step, prev_r, prev_g, history
+        nonlocal rows, r, v, step, prev_r, prev_g, history, norms
         raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
         keep = ~stop
         rows, r, v, step, prev_r, prev_g = (
             a[keep] for a in (rows, r, v, step, prev_r, prev_g)
         )
-        history = collections.deque((h[keep] for h in history), history.maxlen)
+        history, norms = (
+            collections.deque((h[keep] for h in d), d.maxlen) for d in (history, norms)
+        )
         return keep
 
     for iteration in range(cfg.max_iterations):
@@ -546,20 +547,28 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         ladders = step[:, None] * _LADDER
         # Along grad itself the directional derivative is its squared norm.
         slope = norm**2
-        found, new_r, new_v = _best_rungs(objective, r, v, grad, slope, ladders)
-        if not found.all():
+        # The rule that splits the ladder is in ``_best_rungs``'s docstring;
+        # each later search runs only on the rows the earlier ones failed.
+        split = 1 if n > _POLISH_MAX_PARAMS else _LADDER.size
+        found, new_r, new_v = _best_rungs(
+            objective, r, v, grad, slope, ladders[:, :split]
+        )
+        for search, steps in (
+            (_best_rungs, ladders[:, split:]), (_first_halving, ladders[:, -1] * 0.5)
+        ):
             miss = ~found
-            found[miss], new_r[miss], new_v[miss] = _first_halving(
-                objective, r[miss], v[miss], grad[miss], slope[miss],
-                ladders[miss, -1] * 0.5,
-            )
-            if not found.all():
-                keep = leave(~found)
-                norm, new_r, new_v = norm[keep], new_r[keep], new_v[keep]
-                if not rows.size:
-                    break
+            if miss.any() and steps.size:
+                found[miss], new_r[miss], new_v[miss] = search(
+                    objective, r[miss], v[miss], grad[miss], slope[miss], steps[miss]
+                )
+        if not found.all():
+            keep = leave(~found)
+            norm, new_r, new_v = norm[keep], new_r[keep], new_v[keep]
+            if not rows.size:
+                break
         r, v = new_r, new_v
         history.append(v)
+        norms.append(norm)
         if len(history) > _STALL_WINDOW:
             window_gain = v - history[0]
             stalled = window_gain < cfg.objective_tolerance
@@ -568,6 +577,8 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                 # while measurable progress remains, with a hard floor.
                 floor = max(1e-13, 1e-5 * cfg.objective_tolerance)
                 stalled &= (norm < _CONVERGED_GRAD_NORM) | (window_gain < floor)
+            else:
+                stalled |= norms[-1] > 0.5 * norms[0]
             if stalled.any():
                 leave(stalled)
                 if not rows.size:
@@ -577,20 +588,13 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     return raw, value, grad_norm
 
 
-def _finish(objective, raw: np.ndarray, value: float, grad_norm: float):
-    """One restart's exit from the ascent: the Newton polish if the gradient
-    is still measurable and the problem small enough for Hessians."""
-    if grad_norm >= _CONVERGED_GRAD_NORM and raw.size <= _POLISH_MAX_PARAMS:
-        return _newton_polish(objective, raw, value)
-    return raw, value
-
-
 def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
-    """Climb a (k, n) block of restarts, then finish each one in turn;
-    returns their (raw, value)."""
+    """Climb a (k, n) block of restarts, then polish as one batch the rows
+    that left with a measurable gradient if n allows; returns (raw, value)."""
     raw, value, grad_norm = _climb(objective, raw0, cfg)
-    for i in range(raw.shape[0]):
-        raw[i], value[i] = _finish(objective, raw[i], float(value[i]), grad_norm[i])
+    if raw.shape[1] <= _POLISH_MAX_PARAMS:
+        rough = grad_norm >= _CONVERGED_GRAD_NORM
+        raw[rough], value[rough] = _newton_polish(objective, raw[rough], value[rough])
     return raw, value
 
 
@@ -666,25 +670,37 @@ def minimize_initial_entanglement(
 ) -> CapacityResult:
     """Among near-capacity states, find one with the least starting entanglement.
 
-    Runs the usual capacity search first, then descends a penalized objective
-    -E0 - penalty * hinge(target - gain)^2 from the incumbent, where target is
-    the found capacity minus value_slack.  If the state it reaches falls more
-    than value_slack short of the target, the capacity search's result is
-    returned instead, with a RuntimeWarning.
+    Runs the usual capacity search, then minimizes E0 from its state subject
+    to gain >= target = capacity - value_slack by the method of multipliers
+    on -E0 - penalty * hinge(aim + shift - gain)^2: after each ascent the
+    shift grows by the gain's shortfall from the aim, halfway into the slack
+    since the rounds approach it from below, and the penalty tenfold when
+    that shortfall fell less than 4-fold.  If the state reached is short of
+    the target, the capacity search's result is returned instead, with a
+    RuntimeWarning.
     """
     cfg = cfg or _default_config(anc_a, anc_b)
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
-    target = base.value - value_slack
+    target, aim = base.value - value_slack, base.value - value_slack / 2
     objective = _CutObjective(u, measure, anc_a, anc_b)
     amps = base.optimal_state.amplitudes
-    raw0 = np.empty(objective.n_raw)
-    raw0[0::2], raw0[1::2] = amps.real, amps.imag
-    penalized = _PenalizedObjective(objective, target, penalty)
-    raw, _ = _ascend(penalized, raw0[None, :], cfg)
-    state_row = objective.states(raw)
-    e0 = float(objective.entanglement(state_row)[0])
-    ef = float(objective.entanglement(objective.evolve(state_row))[0])
-    if ef - e0 < target - value_slack:
+    raw = np.empty((1, objective.n_raw))
+    raw[0, 0::2], raw[0, 1::2] = amps.real, amps.imag
+    penalized = _PenalizedObjective(objective, aim, penalty)
+    shift, shortfall = 0.0, math.inf
+    for _ in range(_MULTIPLIER_ROUNDS):
+        raw, _ = _ascend(penalized, raw, cfg)
+        state_row = objective.states(raw)
+        e0 = float(objective.entanglement(state_row)[0])
+        ef = float(objective.entanglement(objective.evolve(state_row))[0])
+        if ef - e0 >= target:
+            break
+        # shift = multiplier / (2 penalty), so a tenfold penalty divides it.
+        gap, shift = aim - (ef - e0), shift + aim - (ef - e0)
+        if gap > 0.25 * shortfall:
+            penalized.penalty, shift = 10.0 * penalized.penalty, shift / 10.0
+        shortfall, penalized.target = gap, aim + shift
+    if ef - e0 < target:
         warnings.warn(
             f"penalized search reached gain {ef - e0:.12g}, short of its target "
             f"{target:.12g}; returning the capacity search's state",

@@ -34,6 +34,7 @@ from entcap.qcore import (
     SWAP,
     PureState,
     build_canonical_unitary,
+    haar_random_local_unitary,
     make_rng,
 )
 from entcap.optimize import interconversion_bounds, n_copy_capacity, numeric_capacity
@@ -59,6 +60,24 @@ def test_region_accepts_plain_triples():
         region_of((0.9, 0.1, 0.0))
     with pytest.raises(NotCanonicalError):
         region_of((0.2, 0.3, 0.1))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(QUARTER_PI, 0, 0), (QUARTER_PI, QUARTER_PI, 0), (np.pi / 8, np.pi / 8, np.pi / 8)],
+    ids=["cnot", "dcnot", "sqrt-swap"],
+)
+def test_dressed_boundary_gates_saturate(alpha):
+    # These classes lie on a region boundary; the rounding of a dressed
+    # gate's decomposition must not move them off OneEbit.
+    u = build_canonical_unitary(alpha)
+    for seed in range(300):
+        rng = make_rng(seed)
+        va, vb = haar_random_local_unitary(rng)
+        wa, wb = haar_random_local_unitary(rng)
+        result = capacity_c2(decompose(np.kron(va, vb) @ u @ np.kron(wa, wb)))
+        assert result.region is RegionTag.ONE_EBIT, seed
+        assert result.value == 1.0, seed
 
 
 def test_c2_branch_values():

@@ -1,9 +1,17 @@
-"""Golden stdout of the analytic CLI commands, byte for byte.
+"""Golden stdout of the CLI commands.
 
 ``decompose``, ``invariants`` and ``capacity`` (every measure) run on five
 named gates and three locally dressed ones drawn from fixed seeds; their
-stdout must equal ``tests/golden/analytic_stdout.txt`` exactly.  After an
-intended output change, regenerate the file with
+stdout must equal ``tests/golden/analytic_stdout.txt`` exactly.
+
+``optimize`` (every measure, 4 restarts) on CNOT, DCNOT, SWAP and one
+dressed gate, and two small sweeps, are compared with
+``tests/golden/optimizer.txt`` more loosely, because optima are not unique
+and trajectories legitimately move: command lines, output keys, the CSV
+header and alpha column must match exactly and capacities within 1e-10,
+while e0/ef, converged counts and the best seed are not compared.
+
+After an intended output change, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -12,12 +20,13 @@ and list every changed line in the change log.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from entcap.cli import main
+from entcap.cli import CSV_HEADER, main
 from entcap.measures import MeasureKind
 from entcap.qcore import (
     CNOT,
@@ -30,6 +39,8 @@ from entcap.qcore import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "analytic_stdout.txt"
+GOLDEN_OPTIMIZER = Path(__file__).parent / "golden" / "optimizer.txt"
+CAPACITY_TOL = 1e-10
 
 _H = (1 + 1j) / 2
 SQRT_SWAP = np.array(
@@ -67,25 +78,89 @@ def _commands():
         yield ["capacity", "--measure", kind.value]
 
 
+def _write_gates(directory: Path, names) -> dict:
+    paths = {}
+    for name, gate in _gates().items():
+        if name in names:
+            path = directory / f"{name}.json"
+            rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(gate)]
+            path.write_text(json.dumps({"matrix": rows}))
+            paths[name] = path
+    return paths
+
+
+def _run(argv, note: str, matrix: Path | None = None) -> str:
+    """One command's stdout under a header naming it (not the temporary path)
+    and any nonzero exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--matrix", str(matrix)] if matrix else argv)
+    status = f", exit {code}" if code else ""
+    return f"$ entcap {' '.join(argv)}  # {note}{status}\n{out.getvalue()}"
+
+
 def _transcript(directory: Path) -> str:
     blocks = []
-    for name, gate in _gates().items():
-        path = directory / f"{name}.json"
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(gate)]
-        path.write_text(json.dumps({"matrix": rows}))
+    for name, path in _write_gates(directory, _gates()).items():
         for argv in _commands():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main([*argv, "--matrix", str(path)]) == 0
-            blocks.append(f"$ entcap {' '.join(argv)}  # {name}\n{out.getvalue()}")
+            blocks.append(_run(argv, name, path))
     return "".join(blocks)
+
+
+_OPTIMIZED = ("cnot", "dcnot", "swap", "dressed_0.3_0.2_0.1")
+# Two rows exactly on a region boundary, where ascents crawl, and one inside.
+_BOUNDARY_TRIPLES = (
+    (math.pi / 8, math.pi / 8, 0.0),
+    (math.pi / 4, math.pi / 8, math.pi / 8),
+    (0.3, 0.2, 0.1),
+)
+
+
+def _optimizer_transcript(directory: Path) -> str:
+    blocks = []
+    for name, path in _write_gates(directory, _OPTIMIZED).items():
+        for kind in MeasureKind:
+            argv = ["optimize", "--measure", kind.value, "--restarts", "4"]
+            blocks.append(_run(argv, name, path))
+    triples = []
+    for t in _BOUNDARY_TRIPLES:
+        triples += ["--alpha-triple", ",".join(repr(a) for a in t)]
+    blocks.append(_run(["sweep", *triples, "--measure", "c2", "--restarts", "4"], "c2"))
+    family = ["sweep", "--family", "dcnot", "--steps", "3", "--measure", "entropy",
+              "--anc-a", "1", "--anc-b", "1", "--restarts", "2"]
+    blocks.append(_run(family, "entropy 1+1"))
+    return "".join(blocks)
+
+
+def _pinned(line: str):
+    """What the optimizer fixture pins of one output line: an exact part and
+    a capacity compared within ``CAPACITY_TOL`` (or None)."""
+    if line.startswith("$ ") or line == CSV_HEADER:
+        return line, None
+    if " = " in line:
+        key, value = line.split(" = ")
+        return key, float(value) if key == "capacity" else None
+    alpha, capacity = line.split(",")[:2]
+    return alpha, float(capacity)
 
 
 def test_analytic_stdout_matches_golden(tmp_path):
     assert _transcript(tmp_path) == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_optimizer_output_matches_golden(tmp_path):
+    got = _optimizer_transcript(tmp_path).splitlines()
+    want = GOLDEN_OPTIMIZER.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    for have, pinned in zip(got, want):
+        (have_key, have_cap), (want_key, want_cap) = _pinned(have), _pinned(pinned)
+        assert have_key == want_key, (have, pinned)
+        if want_cap is not None:
+            assert abs(have_cap - want_cap) <= CAPACITY_TOL, (have, pinned)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(_transcript(Path(tmp)), encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+        GOLDEN_OPTIMIZER.write_text(_optimizer_transcript(Path(tmp)), encoding="utf-8")
+    print(f"wrote {GOLDEN} and {GOLDEN_OPTIMIZER}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,28 +129,28 @@ def test_swap_with_two_ancillas_certifies():
 
 
 def test_nan_restart_is_never_best_nor_converged(monkeypatch):
-    real = optimize._finish
+    real = optimize._ascend
     seen = []
 
-    def first_restart_nan(objective, raw, value, grad_norm):
+    def first_restart_nan(objective, raw0, cfg):
         # The first restart's exit reports NaN at a point that certifies.
-        raw, value = real(objective, raw, value, grad_norm)
-        if not seen:
-            value = math.nan
-        seen.append(value)
+        raw, value = real(objective, raw0, cfg)
+        value[0] = math.nan
+        seen.append(value.size)
         return raw, value
 
-    monkeypatch.setattr(optimize, "_finish", first_restart_nan)
+    monkeypatch.setattr(optimize, "_ascend", first_restart_nan)
     res = numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
-    assert len(seen) == FAST.restarts
+    assert seen == [FAST.restarts]
     assert res.best_restart_seed != FAST.master_seed
     assert res.converged_restarts <= FAST.restarts - 1
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    def every_restart_nan(objective, raw, value, grad_norm):
-        return raw, math.nan
+    def every_restart_nan(objective, raw0, cfg):
+        raw, value = real(objective, raw0, cfg)
+        return raw, np.full_like(value, math.nan)
 
-    monkeypatch.setattr(optimize, "_finish", every_restart_nan)
+    monkeypatch.setattr(optimize, "_ascend", every_restart_nan)
     with pytest.raises(ConvergenceError):
         numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
 
@@ -177,11 +178,20 @@ def _dressed(seed, alpha):
             MeasureKind.ENTROPY_OF_ENTANGLEMENT,
             (1, 1),
         ),
+        # On a region boundary every restart leaves the climb for the polish.
+        (
+            build_canonical_unitary((np.pi / 8, np.pi / 8, 0.0)),
+            MeasureKind.CONCURRENCE_SQUARED,
+            (0, 0),
+        ),
     ],
-    ids=["c2-cnot", "c2-dcnot", "c2-region1", "c2-region2", "linear", "entropy-a11"],
+    ids=[
+        "c2-cnot", "c2-dcnot", "c2-region1", "c2-region2", "linear", "entropy-a11",
+        "c2-boundary",
+    ],
 )
 def test_restart_result_independent_of_batch(u, measure, anc):
-    # Restarts climb in lockstep, but each one's path, polish and
+    # Restarts climb and polish in lockstep, but each one's path, polish and
     # certificate must depend only on its own seed.
     objective = optimize._CutObjective(u, measure, *anc)
     cfg = OptimizerConfig(restarts=8)
@@ -193,6 +203,46 @@ def test_restart_result_independent_of_batch(u, measure, anc):
         alone_certificate = optimize._certificate_norms(objective, alone_raw)
         assert abs(alone_value[0] - value[i]) <= 1e-12, i
         assert abs(alone_certificate[0] - certificate[i]) <= 1e-12, i
+
+
+class _GradientRowCounter:
+    """An objective that counts the rows its gradients are asked for."""
+
+    def __init__(self, objective):
+        self.objective, self.n_raw, self.rows = objective, objective.n_raw, 0
+
+    def values(self, raw):
+        return self.objective.values(raw)
+
+    def gradients(self, raw):
+        self.rows += len(raw)
+        return self.objective.gradients(raw)
+
+
+def test_crawling_restarts_are_handed_to_the_polish():
+    # Near this optimum the gradient shrinks sublinearly while every stall
+    # window still gains more than the tolerance; climbing on until the
+    # stall test fires cost 25,470 gradient rows over these 8 restarts.
+    u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
+    objective = _GradientRowCounter(
+        optimize._CutObjective(u, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 0, 0)
+    )
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+    _, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+    assert objective.rows <= 10_000
+    assert np.all(value >= 1 - 1e-7)
+
+
+def test_polish_returns_when_no_row_can_move():
+    # Every row claims a value that no state reaches (a c2 gain is at most
+    # 1), so all of them leave in the first round, unchanged.
+    objective = optimize._CutObjective(CNOT, MeasureKind.CONCURRENCE_SQUARED, 0, 0)
+    raw = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(3)])
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    value = np.full(3, 2.0)
+    polished_raw, polished_value = optimize._newton_polish(objective, raw, value)
+    assert np.array_equal(polished_raw, raw)
+    assert np.array_equal(polished_value, value)
 
 
 def test_concurrence_rejects_ancillas():
@@ -319,13 +369,21 @@ def test_custom_sweep_uses_leading_angle():
 def test_minimize_initial_entanglement_keeps_value():
     u = build_canonical_unitary((0.15, 0.1, 0.05))
     base = numeric_capacity(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
-    low = minimize_initial_entanglement(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    with warnings.catch_warnings():
+        # The penalized search must reach its target, not fall back.
+        warnings.simplefilter("error")
+        low = minimize_initial_entanglement(
+            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
+        )
     assert isinstance(low, CapacityResult)
     assert low.value >= base.value - 1e-6
-    assert low.initial_entanglement <= base.initial_entanglement + 1e-9
-    # the small-angle branch has a known floor on the starting entanglement
-    floor = (1 - np.sin(2 * 0.25)) / 2
+    # On the small-angle branch the optimum mixes one Bell pair with gap
+    # 2(a1 + a2) = 0.5; moving its mixing phase by t gains sin(0.5) cos(t)
+    # from E0 = (1 - sin(0.5 + |t|)) / 2.  The capacity state (t = 0) sits
+    # at the floor of that curve; the slack lets E0 fall ~9e-4 along it.
+    floor = (1 - np.sin(0.5 + np.arccos(low.value / np.sin(0.5)))) / 2
     assert low.initial_entanglement == pytest.approx(floor, abs=1e-6)
+    assert low.initial_entanglement <= base.initial_entanglement - 5e-4
 
 
 def test_minimize_initial_entanglement_cnot_reaches_product():
