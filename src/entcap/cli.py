@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -132,8 +133,8 @@ def _load_matrix(args) -> np.ndarray:
 
 
 def _config_from(args, anc_a: int = 0, anc_b: int = 0):
-    """Optimizer config honoring any explicit overrides; None when all
-    defaults apply so callees pick their own dimension-aware default."""
+    """The library's default config for the ancilla counts, with any
+    explicit overrides."""
     overrides = {}
     if getattr(args, "restarts", None) is not None:
         overrides["restarts"] = args.restarts
@@ -143,12 +144,7 @@ def _config_from(args, anc_a: int = 0, anc_b: int = 0):
         overrides["objective_tolerance"] = args.tol
     if getattr(args, "max_iterations", None) is not None:
         overrides["max_iterations"] = args.max_iterations
-    if not overrides:
-        return None
-    base = _default_config(anc_a, anc_b)
-    from dataclasses import replace
-
-    return replace(base, **overrides)
+    return replace(_default_config(anc_a, anc_b), **overrides)
 
 
 def _cmd_decompose(args) -> int:

@@ -5,14 +5,18 @@ Bob shared qubit, Bob ancillas), so the nonlocal gate always acts on the
 middle pair and the A|B cut splits the basis index in half.  Real parameter
 vectors map to states through ``parameterize_state`` (interleaved real and
 imaginary parts, then normalization); the search is projected gradient
-ascent on the unit sphere of parameters with a backtracking line search.
-Every objective has a closed-form batched gradient; central differences
-serve only the convergence certificate.
+ascent on the unit sphere of parameters.  One line-search rule serves the
+climb and the polish: the best Armijo-acceptable rung of a ladder wins, and
+no step at or below ``_STEP_TOLERANCE``.  The climb's ladder is 8 rungs
+halving from a row's step, then halvings down to that tolerance for the
+rows the 8 miss.  Every objective has a closed-form batched gradient;
+central differences serve only the convergence certificate and the
+polish's Hessians.
 
 All restarts of one search climb in lockstep as one batch: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
-call for all their line-search trials, while every row keeps its own step,
-line search, stall window and exit.  Rows that stop with a measurable
+call per ladder slice that some of them need, while every row keeps its own
+step, line search, stall window and exit.  Rows that stop with a measurable
 gradient, or whose gradient shrinks too slowly, are then polished together
 (one batch of Hessians and one batched ``eigh`` per round), and the
 certificates of whole restarts share batched ``values`` calls.
@@ -64,9 +68,10 @@ _STEP_CAP = 0.2
 _ARMIJO_SLOPE = 1e-4
 _CONVERGED_GRAD_NORM = 1e-6
 _STALL_WINDOW = 20
-_LADDER = 0.5 ** np.arange(8)
-# When no ascent rung is accepted, a halving schedule runs the step down to this.
 _STEP_TOLERANCE = 1e-10
+# The climb's ladder: 8 rungs, then halving rungs past _STEP_TOLERANCE.
+_ASCENT_RUNGS = 8
+_LADDER = 0.5 ** np.arange(int(math.log2(_STEP_CAP / _STEP_TOLERANCE)) + 1)
 _HESSIAN_STEP = 1e-4
 # Shifted rows per central-difference call (certificates, polish Hessians):
 # 16 c2 restarts, 4 at 1+1 ancillas, 1 at 2+2.  Larger calls save no time at
@@ -165,14 +170,12 @@ def parameterize_state(
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size < 2 or raw.size % 2:
         raise DimensionMismatchError(f"parameter vector of shape {raw.shape} invalid")
-    v = raw[0::2] + 1j * raw[1::2]
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    if _row_norms(raw[None, :])[0, 0] == 0.0:
         raise ValueError("zero parameter vector has no direction")
-    n = int(round(math.log2(v.size)))
-    if 2**n != v.size:
-        raise DimensionMismatchError(f"{v.size} amplitudes is not a qubit register")
-    return PureState(v / norm, partition or default_partition(n))
+    n = int(round(math.log2(raw.size // 2)))
+    if 2**n != raw.size // 2:
+        raise DimensionMismatchError(f"{raw.size // 2} amplitudes is not a qubit register")
+    return PureState(_unit_rows(raw[None, :])[0][0], partition or default_partition(n))
 
 
 def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
@@ -240,7 +243,7 @@ class _CutObjective:
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         s = self.states(np.atleast_2d(raw))
-        return self.entanglement(self.evolve(s)) - self.entanglement(s)
+        return self.entanglement(self.evolve(s)) - self.initial_entanglement(s)
 
     def input_terms(self, states: np.ndarray):
         """Entanglement of state rows with its derivative in conj(psi)."""
@@ -284,10 +287,6 @@ class _ProductObjective(_CutObjective):
 
     def initial_entanglement(self, states: np.ndarray) -> np.ndarray:
         return np.zeros(states.shape[0])
-
-    def values(self, raw: np.ndarray) -> np.ndarray:
-        s = self.states(np.atleast_2d(raw))
-        return self.entanglement(self.evolve(s))
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         """Gradient of ``values``, through both factors of psi = va x vb."""
@@ -369,14 +368,13 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     Row i tries the steps ``ladders[i]`` along ``direction[i]``, of shape
     (n,) or (d, n) for d directions; a trial is acceptable if it beats
     value[i] + margin by the Armijo share of the rise that the directional
-    derivative ``slope[i]`` predicts.  All trials share one ``values`` call.
-    Returns (found, raw, value); entries of rows with found False are junk.
+    derivative ``slope[i]`` predicts; no step at or below
+    ``_STEP_TOLERANCE`` is acceptable.  All trials share one ``values``
+    call.  Returns (found, raw, value); entries of rows with found False
+    are junk.
 
     The best objective wins, not the longest step: the longest barely-
-    improving step stops contracting near an optimum.  Rule: the polish and
-    the climb with n <= _POLISH_MAX_PARAMS take the best of the whole
-    ladder; a climb on a larger problem, which no polish follows, tries its
-    secant step alone first and the rest of the ladder only where it fails.
+    improving step stops contracting near an optimum.
     """
     m, n = raw.shape
     direction = direction.reshape(m, -1, n)
@@ -385,42 +383,13 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
     steps = np.tile(ladders, direction.shape[1])
-    accepted = trial_vals.reshape(m, -1) >= (
-        value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
+    accepted = (steps > _STEP_TOLERANCE) & (
+        trial_vals.reshape(m, -1)
+        >= value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
     )
     scores = np.where(accepted, trial_vals.reshape(m, -1), -np.inf)
     best = np.arange(m) * steps.shape[1] + np.argmax(scores, axis=1)
     return accepted.any(axis=1), trials[best], trial_vals[best]
-
-
-def _first_halving(objective, raw, value, direction, slope, start):
-    """Line-search fallback for rows whose ladder found no acceptable step.
-
-    Row i tries start[i], start[i] / 2, ... while the step exceeds
-    ``_STEP_TOLERANCE`` and takes its first Armijo-acceptable trial, in
-    halving order; all trials share one ``values`` call.  Returns
-    (found, raw, value) as ``_best_rungs``.
-    """
-    m = raw.shape[0]
-    halvings, s = 0, float(start.max())
-    while s > _STEP_TOLERANCE:
-        halvings, s = halvings + 1, s * 0.5
-    steps = start[:, None] * 0.5 ** np.arange(halvings)
-    row, col = np.nonzero(steps > _STEP_TOLERANCE)
-    found = np.zeros(m, dtype=bool)
-    if not row.size:
-        return found, raw, value
-    trials = raw[row] + steps[row, col][:, None] * direction[row]
-    trials /= _row_norms(trials)
-    trial_vals = objective.values(trials)
-    accepted = np.zeros(steps.shape, dtype=bool)
-    bound = value[row] + _ARMIJO_SLOPE * steps[row, col] * slope[row]
-    accepted[row, col] = trial_vals >= bound
-    index = np.zeros(steps.shape, dtype=int)
-    index[row, col] = np.arange(row.size)
-    # argmax of a boolean row is its first True: the first accepted halving.
-    first = index[np.arange(m), np.argmax(accepted, axis=1)]
-    return accepted.any(axis=1), trials[first], trial_vals[first]
 
 
 def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
@@ -491,8 +460,10 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     _POLISH_MAX_PARAMS a row also leaves when its gradient norm has not
     halved over the stall window: such a crawl can gain more than the
     tolerance in every window for thousands of iterations, and the polish
-    ends it in a few rounds.  An iteration makes one ``gradients`` call and
-    one ``values`` call for the ladder trials (two on large problems).
+    ends it in a few rounds.  The line search is ``_best_rungs`` on slices
+    of ``_LADDER``: the 8 rungs from the row's step, then the halving rungs
+    for the rows those miss.  An iteration makes one ``gradients`` call and
+    one ``values`` call per slice that some row needs.
     Returns each row's (raw, value) and its gradient norm at the exit.
     """
     raw = raw0 / _row_norms(raw0)
@@ -506,6 +477,11 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
     norms = collections.deque(maxlen=_STALL_WINDOW)
+    # A large problem, which no polish follows, tries its secant step alone
+    # first: the best of all 8 rungs costs 8 trials a row.
+    stages = (slice(0, _ASCENT_RUNGS), slice(_ASCENT_RUNGS, None))
+    if n > _POLISH_MAX_PARAMS:
+        stages = (slice(0, 1), slice(1, _ASCENT_RUNGS), stages[1])
 
     def leave(stop):
         """Write the rows in ``stop`` back and drop them; returns the mask
@@ -547,19 +523,15 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         ladders = step[:, None] * _LADDER
         # Along grad itself the directional derivative is its squared norm.
         slope = norm**2
-        # The rule that splits the ladder is in ``_best_rungs``'s docstring;
-        # each later search runs only on the rows the earlier ones failed.
-        split = 1 if n > _POLISH_MAX_PARAMS else _LADDER.size
         found, new_r, new_v = _best_rungs(
-            objective, r, v, grad, slope, ladders[:, :split]
+            objective, r, v, grad, slope, ladders[:, stages[0]]
         )
-        for search, steps in (
-            (_best_rungs, ladders[:, split:]), (_first_halving, ladders[:, -1] * 0.5)
-        ):
+        for stage in stages[1:]:
             miss = ~found
-            if miss.any() and steps.size:
-                found[miss], new_r[miss], new_v[miss] = search(
-                    objective, r[miss], v[miss], grad[miss], slope[miss], steps[miss]
+            if miss.any():
+                found[miss], new_r[miss], new_v[miss] = _best_rungs(
+                    objective, r[miss], v[miss], grad[miss], slope[miss],
+                    ladders[miss, stage],
                 )
         if not found.all():
             keep = leave(~found)
@@ -602,27 +574,9 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
     return OptimizerConfig(restarts=64 if anc_a + anc_b >= 4 else 32)
 
 
-def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
-    seeds = [cfg.master_seed + i for i in range(cfg.restarts)]
-    raw0 = np.array([make_rng(seed).standard_normal(objective.n_raw) for seed in seeds])
-    raw, value = _ascend(objective, raw0, cfg)
-    # A restart converged if its certificate at the exit point holds.
-    converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
-    best_key = best = None
-    converged_count = 0
-    for i, seed in enumerate(seeds):
-        if math.isnan(value[i]):
-            # A NaN key never compares less, so it would stick as the best.
-            continue
-        converged_count += int(converged[i])
-        key = (-float(value[i]), seed)
-        if best_key is None or key < best_key:
-            best_key, best = key, i
-    if converged_count == 0:
-        raise ConvergenceError(
-            f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-        )
-    state_row = objective.states(raw[best][None, :])
+def _result(objective, row: np.ndarray, converged: int, seed: int) -> CapacityResult:
+    """The result for parameter row ``row``, its values read off its state."""
+    state_row = objective.states(row[None, :])
     e0 = float(objective.initial_entanglement(state_row)[0])
     ef = float(objective.entanglement(objective.evolve(state_row))[0])
     return CapacityResult(
@@ -630,9 +584,26 @@ def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
         optimal_state=PureState(state_row[0], objective.partition),
         initial_entanglement=e0,
         final_entanglement=ef,
-        converged_restarts=converged_count,
-        best_restart_seed=best_key[1],
+        converged_restarts=converged,
+        best_restart_seed=seed,
     )
+
+
+def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
+    seeds = range(cfg.master_seed, cfg.master_seed + cfg.restarts)
+    raw0 = np.array([make_rng(seed).standard_normal(objective.n_raw) for seed in seeds])
+    raw, value = _ascend(objective, raw0, cfg)
+    # A restart converged if its certificate at the exit point holds; a NaN
+    # restart neither counts nor wins.
+    converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
+    converged_count = int(np.count_nonzero(converged & ~np.isnan(value)))
+    if converged_count == 0:
+        raise ConvergenceError(
+            f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
+        )
+    # nanargmax returns the first maximum, which belongs to the lowest seed.
+    best = int(np.nanargmax(value))
+    return _result(objective, raw[best], converged_count, seeds[best])
 
 
 def numeric_capacity(
@@ -683,39 +654,29 @@ def minimize_initial_entanglement(
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
     target, aim = base.value - value_slack, base.value - value_slack / 2
     objective = _CutObjective(u, measure, anc_a, anc_b)
-    amps = base.optimal_state.amplitudes
-    raw = np.empty((1, objective.n_raw))
-    raw[0, 0::2], raw[0, 1::2] = amps.real, amps.imag
+    # A complex row viewed as floats is its interleaved (re, im) parameters.
+    raw = base.optimal_state.amplitudes.view(np.float64)[None, :]
     penalized = _PenalizedObjective(objective, aim, penalty)
     shift, shortfall = 0.0, math.inf
     for _ in range(_MULTIPLIER_ROUNDS):
         raw, _ = _ascend(penalized, raw, cfg)
-        state_row = objective.states(raw)
-        e0 = float(objective.entanglement(state_row)[0])
-        ef = float(objective.entanglement(objective.evolve(state_row))[0])
-        if ef - e0 >= target:
-            break
+        result = _result(
+            objective, raw[0], base.converged_restarts, base.best_restart_seed
+        )
+        if result.value >= target:
+            return result
         # shift = multiplier / (2 penalty), so a tenfold penalty divides it.
-        gap, shift = aim - (ef - e0), shift + aim - (ef - e0)
+        gap, shift = aim - result.value, shift + aim - result.value
         if gap > 0.25 * shortfall:
             penalized.penalty, shift = 10.0 * penalized.penalty, shift / 10.0
         shortfall, penalized.target = gap, aim + shift
-    if ef - e0 < target:
-        warnings.warn(
-            f"penalized search reached gain {ef - e0:.12g}, short of its target "
-            f"{target:.12g}; returning the capacity search's state",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return base
-    return CapacityResult(
-        value=ef - e0,
-        optimal_state=PureState(state_row[0], objective.partition),
-        initial_entanglement=e0,
-        final_entanglement=ef,
-        converged_restarts=base.converged_restarts,
-        best_restart_seed=base.best_restart_seed,
+    warnings.warn(
+        f"penalized search reached gain {result.value:.12g}, short of its target "
+        f"{target:.12g}; returning the capacity search's state",
+        RuntimeWarning,
+        stacklevel=2,
     )
+    return base
 
 
 @dataclass(frozen=True)
@@ -778,17 +739,10 @@ def family_unitary(family: GateFamily) -> np.ndarray:
 
 
 def _sweep_row(task) -> SweepRow:
-    kind, alpha, measure, anc_a, anc_b, cfg, product_start = task
-    # A family kind pairs with a scalar alpha; kind None pairs with a full
-    # canonical triple, reported under its leading angle.
-    label = float(alpha if kind is not None else alpha[0])
+    label, gate, argument, measure, anc_a, anc_b, cfg, product_start = task
     try:
-        if kind is not None:
-            u = family_unitary(GateFamily(kind, alpha))
-        else:
-            u = build_canonical_unitary(alpha)
         run = product_start_capacity if product_start else numeric_capacity
-        result = run(u, measure, anc_a, anc_b, cfg)
+        result = run(gate(argument), measure, anc_a, anc_b, cfg)
         return SweepRow(
             alpha=label,
             capacity=result.value,
@@ -807,7 +761,10 @@ def _pool_size(workers: int, rows: int) -> int:
     return max(1, min(workers, rows, os.cpu_count() or 1))
 
 
-def _run_sweep(tasks, workers: int) -> list[SweepRow]:
+def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
+    """Capacity of each (label, gate builder, builder argument) row."""
+    cfg = cfg or _default_config(anc_a, anc_b)
+    tasks = [(*row, measure, anc_a, anc_b, cfg, product_start) for row in rows]
     size = _pool_size(workers, len(tasks))
     if size == 1:
         return [_sweep_row(t) for t in tasks]
@@ -831,11 +788,8 @@ def family_sweep(
     pool.  Results are identical for any worker count because every row
     re-derives its randomness from the same config.
     """
-    cfg = cfg or _default_config(anc_a, anc_b)
-    tasks = [
-        (kind, float(a), measure, anc_a, anc_b, cfg, product_start) for a in alphas
-    ]
-    return _run_sweep(tasks, workers)
+    rows = [(float(a), family_unitary, GateFamily(kind, float(a))) for a in alphas]
+    return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)
 
 
 def custom_sweep(
@@ -851,9 +805,8 @@ def custom_sweep(
 
     The scalar alpha column of each row reports the triple's leading angle.
     """
-    cfg = cfg or _default_config(anc_a, anc_b)
-    tasks = [
-        (None, tuple(float(a) for a in t), measure, anc_a, anc_b, cfg, product_start)
+    rows = [
+        (float(t[0]), build_canonical_unitary, tuple(float(a) for a in t))
         for t in triples
     ]
-    return _run_sweep(tasks, workers)
+    return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)

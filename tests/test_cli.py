@@ -337,6 +337,30 @@ def test_sweep_custom_triples(capsys):
     assert lines[2].startswith("0.3,")
 
 
+def test_sweep_nan_triple_is_an_error_row(capsys):
+    rc = main(
+        [
+            "sweep",
+            "--alpha-triple",
+            "0.3,nan,0",
+            "--alpha-triple",
+            "0.2,0.1,0.0",
+            "--measure",
+            "c2",
+            "--restarts",
+            "4",
+        ]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines[1] == "0.3,nan,nan,nan,0"
+    assert lines[2].startswith("0.2,")
+    assert float(lines[2].split(",")[1]) == pytest.approx(np.sin(0.6), abs=1e-5)
+    assert "warning: alpha=0.3:" in captured.err
+
+
 def test_sweep_bad_triple_is_usage_error(capsys):
     assert main(["sweep", "--alpha-triple", "0.2,0.1", "--measure", "c2"]) == 2
     assert main(["sweep", "--alpha-triple", "a,b,c", "--measure", "c2"]) == 2

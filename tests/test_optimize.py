@@ -6,7 +6,11 @@ import pytest
 
 from entcap import optimize
 from entcap.canonical import decompose, invariants_match, local_invariants
-from entcap.errors import ConvergenceError, UnsupportedMeasureError
+from entcap.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    UnsupportedMeasureError,
+)
 from entcap.measures import MeasureKind, binary_entropy
 from entcap.optimize import (
     CapacityResult,
@@ -54,6 +58,10 @@ def test_parameterize_state_basics():
     assert np.allclose(psi.amplitudes, doubled.amplitudes)
     with pytest.raises(ValueError):
         parameterize_state(np.zeros(8))
+    for shape in [(7,), (2, 4), (6,)]:
+        # odd size, not a vector, three amplitudes
+        with pytest.raises(DimensionMismatchError):
+            parameterize_state(np.ones(shape))
 
 
 def test_parameterize_state_interleaves_re_im():
@@ -153,6 +161,100 @@ def test_nan_restart_is_never_best_nor_converged(monkeypatch):
     monkeypatch.setattr(optimize, "_ascend", every_restart_nan)
     with pytest.raises(ConvergenceError):
         numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+
+
+def test_tied_restarts_report_the_lowest_seed(monkeypatch):
+    real = optimize._ascend
+
+    def tied(objective, raw0, cfg):
+        # Every restart but the first claims one value; the first is lower.
+        raw, value = real(objective, raw0, cfg)
+        value[:] = 0.5
+        value[0] = 0.4
+        return raw, value
+
+    monkeypatch.setattr(optimize, "_ascend", tied)
+    res = numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    assert res.best_restart_seed == FAST.master_seed + 1
+
+
+def test_benchmark_wrap_points_exist():
+    # The benchmark's per-layer tracer wraps these names of entcap.optimize;
+    # if one disappears its metrics read 0 instead of failing.
+    for name in (
+        "entanglement_batch",
+        "make_rng",
+        "numeric_capacity",
+        "product_start_capacity",
+        "ProcessPoolExecutor",
+    ):
+        assert callable(getattr(optimize, name, None)), name
+
+
+class _DistanceTo:
+    """-|x0 - target| of a unit row: the trial closest to target is best."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def values(self, raw):
+        return -np.abs(raw[:, 0] - self.target)
+
+
+@pytest.mark.parametrize(
+    "target, found, x0",
+    [
+        # The only acceptable rungs, 1e-10 and 5e-11, are at or below the
+        # step tolerance.
+        (5e-11, False, None),
+        # 1e-10 would come closest, but 2e-10 is the best rung above it.
+        (1.2e-10, True, 2e-10),
+    ],
+)
+def test_best_rungs_never_steps_at_or_below_tolerance(target, found, x0):
+    assert optimize._STEP_TOLERANCE == 1e-10
+    raw = np.array([[0.0, 1.0]])
+    ok, new_raw, new_value = optimize._best_rungs(
+        _DistanceTo(target), raw, np.array([-target]), np.array([1.0, 0.0]),
+        np.zeros(1), np.array([[2e-10, 1e-10, 5e-11]]),
+    )
+    assert ok[0] == found
+    if found:
+        assert new_raw[0, 0] == pytest.approx(x0, rel=1e-9)
+        assert new_value[0] == pytest.approx(-abs(x0 - target), rel=1e-6)
+
+
+class _SteepQuadratic:
+    """-1e6 (x0 - 1/2)^2 of the unit row x: so steep that from (0.8, 0.6)
+    every rung of the 8-rung ladder overshoots the maximum."""
+
+    n_raw = 4
+
+    def values(self, raw):
+        x = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return -1e6 * (x[:, 0] - 0.5) ** 2
+
+    def gradients(self, raw):
+        grad = np.zeros_like(raw)
+        grad[:, 0] = -2e6 * (raw[:, 0] / np.linalg.norm(raw, axis=1) - 0.5)
+        return grad
+
+
+def test_climb_moves_through_halving_rungs_when_the_ladder_fails():
+    objective = _SteepQuadratic()
+    raw0 = np.array([[0.8, 0.6, 0.0, 0.0]])
+    value0 = objective.values(raw0)
+    grad = optimize._tangent(objective.gradients(raw0), raw0)
+    # The first iteration's 8 rungs, from the initial step 0.1, all fail.
+    ladder = 0.1 * optimize._LADDER[None, : optimize._ASCENT_RUNGS]
+    found, _, _ = optimize._best_rungs(
+        objective, raw0, value0, grad, np.sum(grad**2, axis=1), ladder
+    )
+    assert not found[0]
+    _, value, _ = optimize._climb(objective, raw0, OptimizerConfig(max_iterations=1))
+    assert value[0] > value0[0]
+    _, value, _ = optimize._climb(objective, raw0, OptimizerConfig())
+    assert value[0] == pytest.approx(0.0, abs=1e-6)
 
 
 REGION_1_GATE = build_canonical_unitary((0.3, 0.2, 0.1))
@@ -363,6 +465,19 @@ def test_custom_sweep_uses_leading_angle():
         [(0.5, 0.4, 0.1), (0.2, 0.1, 0.0)], MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
     )
     assert [r.alpha for r in rows] == [0.5, 0.2]
+    assert rows[1].capacity == pytest.approx(np.sin(0.6), abs=1e-5)
+
+
+def test_custom_sweep_nan_angle_is_an_error_row():
+    rows = custom_sweep(
+        [(0.3, math.nan, 0.0), (0.2, 0.1, 0.0)], MeasureKind.CONCURRENCE_SQUARED,
+        cfg=FAST,
+    )
+    assert rows[0].alpha == 0.3
+    assert math.isnan(rows[0].capacity)
+    assert rows[0].converged_restarts == 0
+    assert rows[0].error
+    assert rows[1].error is None
     assert rows[1].capacity == pytest.approx(np.sin(0.6), abs=1e-5)
 
 
