@@ -277,17 +277,28 @@ def _add_matrix_flags(sub) -> None:
     )
 
 
+def _add_measure_flag(sub) -> None:
+    sub.add_argument(
+        "--measure",
+        required=True,
+        choices=tuple(m.value for m in MeasureKind),
+    )
+
+
 def _add_optimizer_flags(sub) -> None:
+    _add_measure_flag(sub)
+    sub.add_argument("--anc-a", type=int, choices=(0, 1, 2), default=0)
+    sub.add_argument("--anc-b", type=int, choices=(0, 1, 2), default=0)
     sub.add_argument("--restarts", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None, help="master seed")
     sub.add_argument(
         "--tol", type=float, default=None, help="objective tolerance"
     )
-
-
-def _add_ancilla_flags(sub) -> None:
-    sub.add_argument("--anc-a", type=int, choices=(0, 1, 2), default=0)
-    sub.add_argument("--anc-b", type=int, choices=(0, 1, 2), default=0)
+    sub.add_argument(
+        "--product-start",
+        action="store_true",
+        help="restrict initial states to products across the A|B cut",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,28 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("capacity", help="closed-form capacity by region")
     _add_matrix_flags(sub)
-    sub.add_argument(
-        "--measure",
-        required=True,
-        choices=tuple(m.value for m in MeasureKind),
-    )
+    _add_measure_flag(sub)
     sub.set_defaults(handler=_cmd_capacity)
 
     sub = subs.add_parser("optimize", help="numeric capacity at one gate")
     _add_matrix_flags(sub)
-    sub.add_argument(
-        "--measure",
-        required=True,
-        choices=tuple(m.value for m in MeasureKind),
-    )
-    _add_ancilla_flags(sub)
     _add_optimizer_flags(sub)
     sub.add_argument("--max-iterations", type=int, default=None)
-    sub.add_argument(
-        "--product-start",
-        action="store_true",
-        help="restrict initial states to products across the A|B cut",
-    )
     sub.set_defaults(handler=_cmd_optimize)
 
     sub = subs.add_parser("sweep", help="capacity along a gate family, as CSV")
@@ -344,18 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha-min", type=float, default=0.0)
     sub.add_argument("--alpha-max", type=float, default=QUARTER_PI)
     sub.add_argument("--steps", type=int, default=16)
-    sub.add_argument(
-        "--measure",
-        required=True,
-        choices=tuple(m.value for m in MeasureKind),
-    )
-    _add_ancilla_flags(sub)
     _add_optimizer_flags(sub)
-    sub.add_argument(
-        "--product-start",
-        action="store_true",
-        help="restrict initial states to products across the A|B cut",
-    )
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub.set_defaults(handler=_cmd_sweep)

@@ -5,21 +5,22 @@ Bob shared qubit, Bob ancillas), so the nonlocal gate always acts on the
 middle pair and the A|B cut splits the basis index in half.  Real parameter
 vectors map to states through ``parameterize_state`` (interleaved real and
 imaginary parts, then normalization); the search is projected gradient
-ascent on the unit sphere of parameters.  One line-search rule serves the
-climb and the polish: the best Armijo-acceptable rung of a ladder wins, and
-no step at or below ``_STEP_TOLERANCE``.  The climb's ladder is 8 rungs
-halving from a row's step, then halvings down to that tolerance for the
-rows the 8 miss.  Every objective has a closed-form batched gradient;
-central differences serve only the convergence certificate and the
-polish's Hessians.
+ascent on the unit sphere of parameters; a product start's row holds the
+state's two factors instead.  One line-search rule serves the climb and the
+polish: the best Armijo-acceptable rung of a ladder wins, and no step at or
+below ``_STEP_TOLERANCE``.  The climb tries a row's secant step alone, then
+the rest of 8 rungs halving from it, then halvings down to that tolerance,
+each for the rows the earlier ones missed.  Every objective has a
+closed-form batched gradient; central differences serve only the
+convergence certificate and the polish's Hessians.
 
 All restarts of one search climb in lockstep as one batch: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
 call per ladder slice that some of them need, while every row keeps its own
-step, line search, stall window and exit.  Rows that stop with a measurable
-gradient, or whose gradient shrinks too slowly, are then polished together
-(one batch of Hessians and one batched ``eigh`` per round), and the
-certificates of whole restarts share batched ``values`` calls.
+step, line search, stall window and exit.  With at most 64 parameters the
+polish then takes every row whose gradient at its exit is measurable, all
+in one batch (one batch of Hessians and one batched ``eigh`` per round),
+and the certificates of whole restarts share batched ``values`` calls.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and its result depends only on that seed and
@@ -59,7 +60,6 @@ from .qcore import (
     PureState,
     _require_unitary,
     build_canonical_unitary,
-    default_partition,
     make_rng,
 )
 
@@ -84,7 +84,7 @@ _POLISH_ROUNDS = 48
 # The polish ladder reaches far smaller steps than the ascent ladder:
 # entropy-like measures form sharp apexes at product states whose scale the
 # sampled Hessian cannot represent, so locating them needs sub-1e-6 moves.
-_POLISH_LADDER = 0.5 ** np.arange(24)
+_POLISH_LADDER = _LADDER[:24]
 # Larger problems skip the Newton polish and run plain ascent: a Hessian
 # costs 2n gradient rows and an n x n eigendecomposition per round.
 _POLISH_MAX_PARAMS = 64
@@ -167,15 +167,13 @@ def parameterize_state(
     The map is scale invariant, so gradients of any measure through it are
     tangent to the unit sphere of parameters.
     """
-    raw = np.asarray(raw, dtype=float)
+    raw = np.ascontiguousarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size < 2 or raw.size % 2:
         raise DimensionMismatchError(f"parameter vector of shape {raw.shape} invalid")
     if _row_norms(raw[None, :])[0, 0] == 0.0:
         raise ValueError("zero parameter vector has no direction")
-    n = int(round(math.log2(raw.size // 2)))
-    if 2**n != raw.size // 2:
-        raise DimensionMismatchError(f"{raw.size // 2} amplitudes is not a qubit register")
-    return PureState(_unit_rows(raw[None, :])[0][0], partition or default_partition(n))
+    # PureState checks that the amplitudes fill a qubit register.
+    return PureState(_unit_rows(raw[None, :])[0][0], partition)
 
 
 def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
@@ -189,9 +187,10 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(raw: np.ndarray):
-    """Normalized complex rows of interleaved (re, im) parameters, with norms."""
+    """Normalized complex rows of interleaved (re, im) parameters, with norms;
+    ``raw`` is float64 with a contiguous last axis, as the view needs."""
     norm = _row_norms(raw)
-    return (raw[:, 0::2] + 1j * raw[:, 1::2]) / norm, norm
+    return raw.view(np.complex128) / norm, norm
 
 
 def _sphere_gradient(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray):
@@ -205,9 +204,16 @@ def _sphere_gradient(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray):
 
 
 class _CutObjective:
-    """Batched entanglement gain for unrestricted initial states."""
+    """Batched entanglement gain E(U psi) - E(psi) of parameter rows.
 
-    def __init__(self, u: np.ndarray, measure: MeasureKind, anc_a: int, anc_b: int):
+    A free row holds one state's interleaved (re, im) amplitudes.  With
+    ``product`` a row holds the two factors of psi = va x vb back to back,
+    each normalized on its own, so E(psi) is exactly zero by construction.
+    Every method reads rows through ``_states``; ``values`` and the result
+    then take ``entanglements``, and ``gradients`` takes ``terms``.
+    """
+
+    def __init__(self, u, measure: MeasureKind, anc_a: int, anc_b: int, product=False):
         if not (0 <= anc_a <= 2 and 0 <= anc_b <= 2):
             raise ValueError("supported ancilla counts are 0, 1 and 2 per side")
         self.dim_a = 2 ** (anc_a + 1)
@@ -219,14 +225,35 @@ class _CutObjective:
         # The output concurrence of psi is that of U psi: |psi^T (U^T M U) psi|.
         self.flip_out = u.T @ PAULI_YY @ u if measure in CONCURRENCE_KINDS else None
         self.measure = measure
+        # The measure and the A|B cut, as the kernels take them.
+        self.cut = (measure, self.dim_a, self.dim_b)
+        self.product = product
         self.dim_pre = 2**anc_a
         self.dim_post = 2**anc_b
         self.dim = self.dim_a * self.dim_b
         self.partition = ancilla_partition(anc_a, anc_b)
-        self.n_raw = 2 * self.dim
+        self.n_raw = 2 * (self.dim_a + self.dim_b if product else self.dim)
 
-    def states(self, raw: np.ndarray) -> np.ndarray:
-        return _unit_rows(raw)[0]
+    def _states(self, raw: np.ndarray):
+        """State rows of ``raw``, and the map that pulls a derivative in
+        conj(psi) back to the parameters."""
+        raw = np.atleast_2d(raw)
+        if not self.product:
+            s, norm = _unit_rows(raw)
+            return s, lambda grad: _sphere_gradient(grad, s, norm)
+        m, split = raw.shape[0], 2 * self.dim_a
+        va, norm_a = _unit_rows(raw[:, :split])
+        vb, norm_b = _unit_rows(raw[:, split:])
+
+        def pull(grad):
+            """Chain rule through both factors of psi = va x vb."""
+            grad = grad.reshape(m, self.dim_a, self.dim_b)
+            return np.hstack([
+                _sphere_gradient(np.einsum("mab,mb->ma", grad, vb.conj()), va, norm_a),
+                _sphere_gradient(np.einsum("mab,ma->mb", grad, va.conj()), vb, norm_b),
+            ])
+
+        return np.einsum("ma,mb->mab", va, vb).reshape(m, self.dim), pull
 
     def evolve(self, states: np.ndarray, gate: np.ndarray | None = None):
         """Apply the gate (or ``gate``) to the shared pair of every row."""
@@ -235,97 +262,57 @@ class _CutObjective:
         gate = self.u if gate is None else gate
         return np.einsum("pq,mxqy->mxpy", gate, t).reshape(m, self.dim)
 
-    def entanglement(self, states: np.ndarray) -> np.ndarray:
-        return entanglement_batch(states, self.measure, self.dim_a, self.dim_b)
+    def entanglements(self, states: np.ndarray):
+        """(E(psi), E(U psi)) of each state row."""
+        ef = entanglement_batch(self.evolve(states), *self.cut)
+        if self.product:
+            return np.zeros_like(ef), ef
+        return entanglement_batch(states, *self.cut), ef
 
-    def initial_entanglement(self, states: np.ndarray) -> np.ndarray:
-        return self.entanglement(states)
+    def terms(self, states: np.ndarray):
+        """The input and output terms of each state row: each is an
+        entanglement with its derivative in conj(psi), the output's pulled
+        back through U^dagger.  A product row's input term is 0."""
+        if self.flip_out is not None:
+            out = _flip_terms(states, self.flip_out, self.measure)
+        else:
+            value, grad = _cut_terms(self.evolve(states), *self.cut)
+            out = value, self.evolve(grad, self.u_dag)
+        if self.product:
+            return (0.0, 0.0), out
+        if self.flip_out is not None:
+            return _flip_terms(states, PAULI_YY, self.measure), out
+        return _cut_terms(states, *self.cut), out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
-        s = self.states(np.atleast_2d(raw))
-        return self.entanglement(self.evolve(s)) - self.initial_entanglement(s)
-
-    def input_terms(self, states: np.ndarray):
-        """Entanglement of state rows with its derivative in conj(psi)."""
-        if self.flip_out is not None:
-            return _flip_terms(states, PAULI_YY, self.measure)
-        return _cut_terms(states, self.measure, self.dim_a, self.dim_b)
-
-    def output_terms(self, states: np.ndarray):
-        """Entanglement after the gate, derivative pulled back through U^dagger."""
-        if self.flip_out is not None:
-            return _flip_terms(states, self.flip_out, self.measure)
-        out = self.evolve(states)
-        value, grad = _cut_terms(out, self.measure, self.dim_a, self.dim_b)
-        return value, self.evolve(grad, self.u_dag)
+        e0, ef = self.entanglements(self._states(raw)[0])
+        return ef - e0
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         """Gradient of ``values`` at each parameter row, shape (m, n_raw)."""
-        s, norm = _unit_rows(np.atleast_2d(raw))
-        grad = self.output_terms(s)[1] - self.input_terms(s)[1]
-        return _sphere_gradient(grad, s, norm)
+        states, pull = self._states(raw)
+        (_, grad_in), (_, grad_out) = self.terms(states)
+        return pull(grad_out - grad_in)
 
 
-class _ProductObjective(_CutObjective):
-    """Entanglement created from a product state across the A|B cut.
-
-    Parameters hold both factors back to back, each normalized on its own,
-    so the initial entanglement is exactly zero by construction.
-    """
-
-    def __init__(self, u, measure, anc_a, anc_b):
-        super().__init__(u, measure, anc_a, anc_b)
-        self.n_raw = 2 * (self.dim_a + self.dim_b)
-
-    def _factors(self, raw: np.ndarray):
-        split = 2 * self.dim_a
-        return _unit_rows(raw[:, :split]), _unit_rows(raw[:, split:])
-
-    def states(self, raw: np.ndarray) -> np.ndarray:
-        (va, _), (vb, _) = self._factors(raw)
-        return np.einsum("ma,mb->mab", va, vb).reshape(raw.shape[0], self.dim)
-
-    def initial_entanglement(self, states: np.ndarray) -> np.ndarray:
-        return np.zeros(states.shape[0])
-
-    def gradients(self, raw: np.ndarray) -> np.ndarray:
-        """Gradient of ``values``, through both factors of psi = va x vb."""
-        raw = np.atleast_2d(raw)
-        (va, norm_a), (vb, norm_b) = self._factors(raw)
-        m = raw.shape[0]
-        s = np.einsum("ma,mb->mab", va, vb).reshape(m, self.dim)
-        grad = self.output_terms(s)[1].reshape(m, self.dim_a, self.dim_b)
-        grad_a = np.einsum("mab,mb->ma", grad, vb.conj())
-        grad_b = np.einsum("mab,ma->mb", grad, va.conj())
-        return np.hstack(
-            [_sphere_gradient(grad_a, va, norm_a), _sphere_gradient(grad_b, vb, norm_b)]
-        )
-
-
-class _PenalizedObjective:
+class _PenalizedObjective(_CutObjective):
     """-E0 - penalty * hinge(target - gain)^2 over unrestricted states; the
     method of multipliers moves ``target`` and raises ``penalty``."""
 
-    def __init__(self, objective: _CutObjective, target: float, penalty: float):
-        self.objective = objective
+    def __init__(self, u, measure, anc_a, anc_b, target: float, penalty: float):
+        super().__init__(u, measure, anc_a, anc_b)
         self.target = target
         self.penalty = penalty
-        self.n_raw = objective.n_raw
 
     def values(self, raw: np.ndarray) -> np.ndarray:
-        obj = self.objective
-        s = obj.states(np.atleast_2d(raw))
-        e0 = obj.entanglement(s)
-        gain = obj.entanglement(obj.evolve(s)) - e0
-        return -e0 - self.penalty * np.maximum(0.0, self.target - gain) ** 2
+        e0, ef = self.entanglements(self._states(raw)[0])
+        return -e0 - self.penalty * np.maximum(0.0, self.target - (ef - e0)) ** 2
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
-        s, norm = _unit_rows(np.atleast_2d(raw))
-        e0, grad_in = self.objective.input_terms(s)
-        ef, grad_out = self.objective.output_terms(s)
+        states, pull = self._states(raw)
+        (e0, grad_in), (ef, grad_out) = self.terms(states)
         weight = 2.0 * self.penalty * np.maximum(0.0, self.target - (ef - e0))
-        grad = weight[:, None] * (grad_out - grad_in) - grad_in
-        return _sphere_gradient(grad, s, norm)
+        return pull(weight[:, None] * (grad_out - grad_in) - grad_in)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -461,15 +448,14 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     halved over the stall window: such a crawl can gain more than the
     tolerance in every window for thousands of iterations, and the polish
     ends it in a few rounds.  The line search is ``_best_rungs`` on slices
-    of ``_LADDER``: the 8 rungs from the row's step, then the halving rungs
-    for the rows those miss.  An iteration makes one ``gradients`` call and
-    one ``values`` call per slice that some row needs.
-    Returns each row's (raw, value) and its gradient norm at the exit.
+    of ``_LADDER`` from the row's step: the secant rung, the rest of the
+    first 8 rungs, then the halving rungs, each slice for the rows the
+    earlier ones missed.  An iteration makes one ``gradients`` call and one
+    ``values`` call per slice that some row needs; returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
     k, n = raw.shape
-    grad_norm = np.full(k, np.inf)
     # The climbing rows, compacted: entry i of each array below belongs to
     # restart rows[i].  Every one of them has moved on every iteration so
     # far, so the window of past values is a deque of whole arrays.
@@ -477,11 +463,9 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
     norms = collections.deque(maxlen=_STALL_WINDOW)
-    # A large problem, which no polish follows, tries its secant step alone
-    # first: the best of all 8 rungs costs 8 trials a row.
-    stages = (slice(0, _ASCENT_RUNGS), slice(_ASCENT_RUNGS, None))
-    if n > _POLISH_MAX_PARAMS:
-        stages = (slice(0, 1), slice(1, _ASCENT_RUNGS), stages[1])
+    # The secant step alone first: the best of all 8 rungs costs 8 trials a
+    # row, and the secant step is usually acceptable.
+    stages = (slice(0, 1), slice(1, _ASCENT_RUNGS), slice(_ASCENT_RUNGS, None))
 
     def leave(stop):
         """Write the rows in ``stop`` back and drop them; returns the mask
@@ -500,7 +484,6 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     for iteration in range(cfg.max_iterations):
         grad = _tangent(objective.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
-        grad_norm[rows] = norm
         flat = norm < 1e-13
         if flat.any():
             keep = leave(flat)
@@ -557,16 +540,15 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                     break
     # Rows still climbing stop at the iteration cap.
     leave(np.ones(rows.size, dtype=bool))
-    return raw, value, grad_norm
+    return raw, value
 
 
 def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
-    """Climb a (k, n) block of restarts, then polish as one batch the rows
-    that left with a measurable gradient if n allows; returns (raw, value)."""
-    raw, value, grad_norm = _climb(objective, raw0, cfg)
+    """Climb a (k, n) block of restarts, then hand it whole to the polish if n
+    allows, which drops converged rows at their exit; returns (raw, value)."""
+    raw, value = _climb(objective, raw0, cfg)
     if raw.shape[1] <= _POLISH_MAX_PARAMS:
-        rough = grad_norm >= _CONVERGED_GRAD_NORM
-        raw[rough], value[rough] = _newton_polish(objective, raw[rough], value[rough])
+        raw, value = _newton_polish(objective, raw, value)
     return raw, value
 
 
@@ -576,9 +558,8 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
 
 def _result(objective, row: np.ndarray, converged: int, seed: int) -> CapacityResult:
     """The result for parameter row ``row``, its values read off its state."""
-    state_row = objective.states(row[None, :])
-    e0 = float(objective.initial_entanglement(state_row)[0])
-    ef = float(objective.entanglement(objective.evolve(state_row))[0])
+    state_row = objective._states(row[None, :])[0]
+    e0, ef = (float(e[0]) for e in objective.entanglements(state_row))
     return CapacityResult(
         value=ef - e0,
         optimal_state=PureState(state_row[0], objective.partition),
@@ -627,7 +608,7 @@ def product_start_capacity(
 ) -> CapacityResult:
     """Maximize E(U psi) over initial states that are product across A|B."""
     cfg = cfg or _default_config(anc_a, anc_b)
-    return _multistart(_ProductObjective(u, measure, anc_a, anc_b), cfg)
+    return _multistart(_CutObjective(u, measure, anc_a, anc_b, product=True), cfg)
 
 
 def minimize_initial_entanglement(
@@ -653,15 +634,14 @@ def minimize_initial_entanglement(
     cfg = cfg or _default_config(anc_a, anc_b)
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
     target, aim = base.value - value_slack, base.value - value_slack / 2
-    objective = _CutObjective(u, measure, anc_a, anc_b)
     # A complex row viewed as floats is its interleaved (re, im) parameters.
     raw = base.optimal_state.amplitudes.view(np.float64)[None, :]
-    penalized = _PenalizedObjective(objective, aim, penalty)
+    penalized = _PenalizedObjective(u, measure, anc_a, anc_b, aim, penalty)
     shift, shortfall = 0.0, math.inf
     for _ in range(_MULTIPLIER_ROUNDS):
         raw, _ = _ascend(penalized, raw, cfg)
         result = _result(
-            objective, raw[0], base.converged_restarts, base.best_restart_seed
+            penalized, raw[0], base.converged_restarts, base.best_restart_seed
         )
         if result.value >= target:
             return result

@@ -230,7 +230,8 @@ def test_exit_codes(cnot_file, tmp_path, capsys):
     assert main(["decompose"]) == 2
     assert main(["capacity", "--matrix", cnot_file]) == 2
     assert main(["capacity", "--matrix", cnot_file, "--measure", "c2", "--bogus"]) == 2
-    for flag in ("--numeric-fallback", "--restarts=4"):
+    # Flags that the closed-form command does not take.
+    for flag in ("--numeric-fallback", "--restarts=4", "--product-start", "--anc-a=1"):
         assert main(["capacity", "--matrix", cnot_file, "--measure", "c2", flag]) == 2
     assert main(["not-a-command"]) == 2
     assert main(["--help"]) == 0

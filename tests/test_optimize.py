@@ -68,6 +68,9 @@ def test_parameterize_state_interleaves_re_im():
     raw = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
     psi = parameterize_state(raw)
     assert np.allclose(psi.amplitudes, [(1 + 1j) / np.sqrt(2), 0, 0, 0])
+    # A strided vector is read by value, not viewed in place.
+    strided = np.repeat(raw, 2)[::2]
+    assert np.array_equal(parameterize_state(strided).amplitudes, psi.amplitudes)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -80,11 +83,10 @@ def test_analytic_gradient_matches_finite_differences():
             MeasureKind.CONCURRENCE_SQUARED,
         )
         for anc in ((0, 0),) if two_qubit_only else ((0, 0), (1, 1), (2, 2), (1, 0)):
-            free = optimize._CutObjective(u, measure, *anc)
             objectives = {
-                "free": free,
-                "product": optimize._ProductObjective(u, measure, *anc),
-                "penalized": optimize._PenalizedObjective(free, 0.4, 10.0),
+                "free": optimize._CutObjective(u, measure, *anc),
+                "product": optimize._CutObjective(u, measure, *anc, product=True),
+                "penalized": optimize._PenalizedObjective(u, measure, *anc, 0.4, 10.0),
             }
             for name, obj in objectives.items():
                 # Unnormalized rows: the gradients must hold off the unit
@@ -251,9 +253,9 @@ def test_climb_moves_through_halving_rungs_when_the_ladder_fails():
         objective, raw0, value0, grad, np.sum(grad**2, axis=1), ladder
     )
     assert not found[0]
-    _, value, _ = optimize._climb(objective, raw0, OptimizerConfig(max_iterations=1))
+    _, value = optimize._climb(objective, raw0, OptimizerConfig(max_iterations=1))
     assert value[0] > value0[0]
-    _, value, _ = optimize._climb(objective, raw0, OptimizerConfig())
+    _, value = optimize._climb(objective, raw0, OptimizerConfig())
     assert value[0] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -307,18 +309,24 @@ def test_restart_result_independent_of_batch(u, measure, anc):
         assert abs(alone_certificate[0] - certificate[i]) <= 1e-12, i
 
 
-class _GradientRowCounter:
-    """An objective that counts the rows its gradients are asked for."""
+class _RowCounter:
+    """An objective that logs the rows of every call, in order, as
+    ("values" or "gradients", row count)."""
 
     def __init__(self, objective):
-        self.objective, self.n_raw, self.rows = objective, objective.n_raw, 0
+        self.objective, self.n_raw, self.calls = objective, objective.n_raw, []
 
     def values(self, raw):
+        self.calls.append(("values", len(raw)))
         return self.objective.values(raw)
 
     def gradients(self, raw):
-        self.rows += len(raw)
+        self.calls.append(("gradients", len(raw)))
         return self.objective.gradients(raw)
+
+    @property
+    def rows(self):
+        return sum(m for name, m in self.calls if name == "gradients")
 
 
 def test_crawling_restarts_are_handed_to_the_polish():
@@ -326,13 +334,81 @@ def test_crawling_restarts_are_handed_to_the_polish():
     # window still gains more than the tolerance; climbing on until the
     # stall test fires cost 25,470 gradient rows over these 8 restarts.
     u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
-    objective = _GradientRowCounter(
+    objective = _RowCounter(
         optimize._CutObjective(u, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 0, 0)
     )
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
     _, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
     assert objective.rows <= 10_000
     assert np.all(value >= 1 - 1e-7)
+
+
+def test_line_search_tries_the_secant_rung_alone_first():
+    # At n = 8 as for every n: the first values call after each gradients
+    # call of the climb has one trial per climbing row.
+    objective = _RowCounter(
+        optimize._CutObjective(REGION_1_GATE, MeasureKind.CONCURRENCE_SQUARED, 0, 0)
+    )
+    assert objective.n_raw == 8
+    raw0 = np.array([make_rng(s).standard_normal(8) for s in range(4)])
+    optimize._climb(objective, raw0, OptimizerConfig(max_iterations=30))
+    calls = objective.calls
+    iterations = [i for i, (name, _) in enumerate(calls) if name == "gradients"]
+    assert len(iterations) > 1
+    for i in iterations:
+        if i + 1 < len(calls):
+            assert calls[i + 1] == ("values", calls[i][1]), (i, calls[i : i + 2])
+
+
+def test_polish_leaves_converged_rows_bit_identical():
+    # A mixed block: rows that certify at their climb's exit, and rows cut
+    # short after a few iterations.
+    objective = optimize._CutObjective(REGION_1_GATE, MeasureKind.LINEAR_ENTROPY, 0, 0)
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(6)])
+    done = optimize._ascend(objective, raw0[:3], OptimizerConfig())
+    rough = optimize._climb(objective, raw0[3:], OptimizerConfig(max_iterations=3))
+    raw, value = (np.concatenate(pair) for pair in zip(done, rough))
+    grad = optimize._tangent(objective.gradients(raw), raw)
+    small = np.sqrt(np.sum(grad**2, axis=1)) < optimize._CONVERGED_GRAD_NORM
+    assert small.any() and not small.all()
+    # A converged row leaves before any rung is tried: even a claimed value
+    # below the one it holds, which any step would beat, does not move it.
+    value[small] -= 1e-3
+    polished_raw, polished_value = optimize._newton_polish(objective, raw, value)
+    assert np.array_equal(polished_raw[small], raw[small])
+    assert np.array_equal(polished_value[small], value[small])
+    for i in np.flatnonzero(~small):
+        alone_raw, alone_value = optimize._newton_polish(
+            objective, raw[i : i + 1], value[i : i + 1]
+        )
+        assert polished_value[i] > value[i]
+        assert abs(alone_value[0] - polished_value[i]) <= 1e-12, i
+        assert np.abs(alone_raw[0] - polished_raw[i]).max() <= 1e-12, i
+
+
+@pytest.mark.parametrize(
+    "measure, kernel",
+    [
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, "_cut_terms"),
+        (MeasureKind.CONCURRENCE_SQUARED, "_flip_terms"),
+    ],
+)
+def test_gradients_go_through_the_module_kernels(monkeypatch, measure, kernel):
+    # The benchmark counts gradient rows by wrapping these names where
+    # entcap.optimize looks them up; a gradient computed past them would
+    # read as 0 rows.
+    rows = []
+    real = getattr(optimize, kernel)
+
+    def counted(states, *args):
+        rows.append(len(states))
+        return real(states, *args)
+
+    monkeypatch.setattr(optimize, kernel, counted)
+    objective = optimize._CutObjective(REGION_1_GATE, measure, 0, 0)
+    objective.gradients(make_rng(5).standard_normal((3, objective.n_raw)))
+    # The input and the output term of each of the 3 rows.
+    assert rows == [3, 3]
 
 
 def test_polish_returns_when_no_row_can_move():
