@@ -341,7 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha-max", type=float, default=QUARTER_PI)
     sub.add_argument("--steps", type=int, default=16)
     _add_optimizer_flags(sub)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes the sweep uses; each takes one contiguous chunk of rows, "
+        "and the output bytes do not depend on this count",
+    )
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub.set_defaults(handler=_cmd_sweep)
 

@@ -77,16 +77,19 @@ def entanglement_batch(
 
 
 def _flip_terms(states: np.ndarray, flip: np.ndarray, kind: MeasureKind):
-    """Concurrence |psi^T F psi|, or its square, for the symmetric form F."""
+    """Concurrence |psi^T F psi|, or its square, for the symmetric form F.
+
+    ``states`` may carry leading axes beyond the rows, and ``flip`` may be a
+    stack that broadcasts against them as in ``states @ flip``."""
     w = states @ flip
-    c = np.einsum("mi,mi->m", w, states)
-    grad = 2.0 * c[:, None] * w.conj()
+    c = np.einsum("...i,...i->...", w, states)
+    grad = 2.0 * c[..., None] * w.conj()
     if kind is MeasureKind.CONCURRENCE_SQUARED:
         return np.abs(c) ** 2, grad
     conc = np.abs(c)
     # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
     half_inverse = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
-    return conc, grad * half_inverse[:, None]
+    return conc, grad * half_inverse[..., None]
 
 
 def _cut_terms(states: np.ndarray, kind: MeasureKind, dim_a: int, dim_b: int):

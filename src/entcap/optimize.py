@@ -14,7 +14,7 @@ each for the rows the earlier ones missed.  Every objective has a
 closed-form batched gradient; central differences serve only the
 convergence certificate and the polish's Hessians.
 
-All restarts of one search climb in lockstep as one batch: each iteration
+All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
 call per ladder slice that some of them need, while every row keeps its own
 step, line search, stall window and exit.  With at most 64 parameters the
@@ -22,15 +22,24 @@ polish then takes every row whose gradient at its exit is measurable, all
 in one batch (one batch of Hessians and one batched ``eigh`` per round),
 and the certificates of whole restarts share batched ``values`` calls.
 
+A sweep makes its rows one block too: the objective holds one gate per
+parameter row, so every restart of every sweep row climbs, polishes and
+certifies together, and as rows leave, each loop carries the objective
+restricted to the rows it still holds.  A single search is the one-gate
+case of the same path.  Sweep workers each take a contiguous chunk of rows
+as their block.
+
 Determinism: restart i draws its start from a counter-based generator
-seeded with master_seed + i, and its result depends only on that seed and
-the config, not on how many restarts climb beside it or on the worker count
-of a sweep.  Results reduce by (value, then lowest seed), so a run is
-reproducible however restarts or sweep rows are scheduled.
+seeded with master_seed + i, and its result depends only on that seed, the
+config and its gate, bit for bit: not on how many restarts or which other
+gates climb beside it, or on the worker count of a sweep.  Results reduce
+by (value, then lowest seed), so a run is reproducible however restarts or
+sweep rows are scheduled.
 """
 from __future__ import annotations
 
 import collections
+import copy
 import enum
 import math
 import os
@@ -88,6 +97,10 @@ _POLISH_LADDER = _LADDER[:24]
 # Larger problems skip the Newton polish and run plain ascent: a Hessian
 # costs 2n gradient rows and an n x n eigendecomposition per round.
 _POLISH_MAX_PARAMS = 64
+# Parameters (rows x n) in one lockstep block of sweep rows: 512 c2 rows at
+# 8 restarts, 4 entropy rows at 2+2 ancillas and 64 restarts.  A block's
+# memory grows with its size, about 10 MB per 65,536 parameters at 2+2.
+_BLOCK_PARAMETERS = 2**15
 # Multiplier updates of the penalized search, one ascent each.
 _MULTIPLIER_ROUNDS = 12
 
@@ -182,8 +195,8 @@ def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each real row, as a column."""
-    return np.sqrt(_dots(rows, rows))[:, None]
+    """Euclidean norm over the last axis of real rows, kept as a length-1 axis."""
+    return np.sqrt(_dots(rows, rows))[..., None]
 
 
 def _unit_rows(raw: np.ndarray):
@@ -197,14 +210,30 @@ def _sphere_gradient(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray):
     """Interleaved real gradient of a function of unit = v / |v|, given its
     derivative ``grad`` in conj(unit): the component along unit is projected
     out and the rest divided by |v|."""
-    along = np.einsum("mi,mi->m", unit.conj(), grad).real
-    tangent = grad - along[:, None] * unit
+    along = _dots(unit.conj(), grad).real
+    tangent = grad - along[..., None] * unit
     # A complex row viewed as floats is its interleaved (re, im) parameters.
     return tangent.view(np.float64) * (2.0 / norm)
 
 
+def _register_dims(measure: MeasureKind, anc_a: int, anc_b: int) -> tuple[int, int]:
+    """(dim_a, dim_b) of the register with these ancillas, if the measure
+    is defined on it."""
+    if not (0 <= anc_a <= 2 and 0 <= anc_b <= 2):
+        raise ValueError("supported ancilla counts are 0, 1 and 2 per side")
+    dims = 2 ** (anc_a + 1), 2 ** (anc_b + 1)
+    require_qubit_pair(measure, *dims)
+    return dims
+
+
 class _CutObjective:
     """Batched entanglement gain E(U psi) - E(psi) of parameter rows.
+
+    Each row has its own gate: ``u`` is one 4x4 gate, which every row
+    shares, or a stack of one gate per row, and ``take`` restricts the
+    objective to a subset of rows.  Methods take parameters of shape (rows,
+    ..., n_raw) and broadcast each row's gate over that row's trial axes
+    (ladder rungs, difference shifts), so no gate is copied per trial.
 
     A free row holds one state's interleaved (re, im) amplitudes.  With
     ``product`` a row holds the two factors of psi = va x vb back to back,
@@ -214,16 +243,16 @@ class _CutObjective:
     """
 
     def __init__(self, u, measure: MeasureKind, anc_a: int, anc_b: int, product=False):
-        if not (0 <= anc_a <= 2 and 0 <= anc_b <= 2):
-            raise ValueError("supported ancilla counts are 0, 1 and 2 per side")
-        self.dim_a = 2 ** (anc_a + 1)
-        self.dim_b = 2 ** (anc_b + 1)
-        require_qubit_pair(measure, self.dim_a, self.dim_b)
-        u = _require_unitary(u)
+        self.dim_a, self.dim_b = _register_dims(measure, anc_a, anc_b)
+        gates = np.asarray(u, dtype=complex)
+        gates = gates if gates.ndim > 2 else [gates]
+        u = np.stack([_require_unitary(g) for g in gates])
         self.u = u
-        self.u_dag = u.conj().T
+        self.u_dag = u.conj().swapaxes(1, 2)
         # The output concurrence of psi is that of U psi: |psi^T (U^T M U) psi|.
-        self.flip_out = u.T @ PAULI_YY @ u if measure in CONCURRENCE_KINDS else None
+        self.flip_out = (
+            u.swapaxes(1, 2) @ PAULI_YY @ u if measure in CONCURRENCE_KINDS else None
+        )
         self.measure = measure
         # The measure and the A|B cut, as the kernels take them.
         self.cut = (measure, self.dim_a, self.dim_b)
@@ -234,62 +263,92 @@ class _CutObjective:
         self.partition = ancilla_partition(anc_a, anc_b)
         self.n_raw = 2 * (self.dim_a + self.dim_b if product else self.dim)
 
+    def take(self, rows):
+        """The objective on the rows ``rows`` (an index array, mask or
+        slice) of its stack; a single shared gate serves any rows."""
+        if len(self.u) == 1:
+            return self
+        part = copy.copy(self)
+        part.u, part.u_dag = self.u[rows], self.u_dag[rows]
+        if self.flip_out is not None:
+            part.flip_out = self.flip_out[rows]
+        return part
+
     def _states(self, raw: np.ndarray):
         """State rows of ``raw``, and the map that pulls a derivative in
         conj(psi) back to the parameters."""
-        raw = np.atleast_2d(raw)
         if not self.product:
             s, norm = _unit_rows(raw)
             return s, lambda grad: _sphere_gradient(grad, s, norm)
-        m, split = raw.shape[0], 2 * self.dim_a
-        va, norm_a = _unit_rows(raw[:, :split])
-        vb, norm_b = _unit_rows(raw[:, split:])
+        split = 2 * self.dim_a
+        va, norm_a = _unit_rows(raw[..., :split])
+        vb, norm_b = _unit_rows(raw[..., split:])
 
         def pull(grad):
             """Chain rule through both factors of psi = va x vb."""
-            grad = grad.reshape(m, self.dim_a, self.dim_b)
-            return np.hstack([
-                _sphere_gradient(np.einsum("mab,mb->ma", grad, vb.conj()), va, norm_a),
-                _sphere_gradient(np.einsum("mab,ma->mb", grad, va.conj()), vb, norm_b),
-            ])
+            grad = grad.reshape(*grad.shape[:-1], self.dim_a, self.dim_b)
+            grad_a = np.einsum("...ab,...b->...a", grad, vb.conj())
+            grad_b = np.einsum("...ab,...a->...b", grad, va.conj())
+            return np.concatenate([
+                _sphere_gradient(grad_a, va, norm_a),
+                _sphere_gradient(grad_b, vb, norm_b),
+            ], axis=-1)
 
-        return np.einsum("ma,mb->mab", va, vb).reshape(m, self.dim), pull
+        states = np.einsum("...a,...b->...ab", va, vb)
+        return states.reshape(*states.shape[:-2], self.dim), pull
 
     def evolve(self, states: np.ndarray, gate: np.ndarray | None = None):
-        """Apply the gate (or ``gate``) to the shared pair of every row."""
-        m = states.shape[0]
-        t = states.reshape(m, self.dim_pre, 4, self.dim_post)
+        """Apply each row's gate (or ``gate``, a stack like ``u``) to the
+        shared pair of that row's states."""
+        t = states.reshape(len(states), -1, self.dim_pre, 4, self.dim_post)
         gate = self.u if gate is None else gate
-        return np.einsum("pq,mxqy->mxpy", gate, t).reshape(m, self.dim)
+        return np.einsum("mpq,mtxqy->mtxpy", gate, t).reshape(states.shape)
+
+    def _measured(self, states: np.ndarray):
+        """The measure of every state, through the kernel's flat rows."""
+        flat = entanglement_batch(states.reshape(-1, self.dim), *self.cut)
+        return flat.reshape(states.shape[:-1])
 
     def entanglements(self, states: np.ndarray):
-        """(E(psi), E(U psi)) of each state row."""
-        ef = entanglement_batch(self.evolve(states), *self.cut)
+        """(E(psi), E(U psi)) of each state."""
+        ef = self._measured(self.evolve(states))
         if self.product:
             return np.zeros_like(ef), ef
-        return entanglement_batch(states, *self.cut), ef
+        return self._measured(states), ef
+
+    def _cut_kernel(self, states: np.ndarray):
+        """``_cut_terms`` of every state, through the kernel's flat rows."""
+        value, grad = _cut_terms(states.reshape(-1, self.dim), *self.cut)
+        return value.reshape(states.shape[:-1]), grad.reshape(states.shape)
+
+    def _flip_kernel(self, states: np.ndarray, flip: np.ndarray):
+        """``_flip_terms`` of every state, each row's against its own form
+        when ``flip`` is a stack like ``u``."""
+        rows = states.reshape(len(states), -1, 4)
+        value, grad = _flip_terms(rows, flip, self.measure)
+        return value.reshape(states.shape[:-1]), grad.reshape(states.shape)
 
     def terms(self, states: np.ndarray):
-        """The input and output terms of each state row: each is an
+        """The input and output terms of each state: each is an
         entanglement with its derivative in conj(psi), the output's pulled
         back through U^dagger.  A product row's input term is 0."""
         if self.flip_out is not None:
-            out = _flip_terms(states, self.flip_out, self.measure)
+            out = self._flip_kernel(states, self.flip_out)
         else:
-            value, grad = _cut_terms(self.evolve(states), *self.cut)
+            value, grad = self._cut_kernel(self.evolve(states))
             out = value, self.evolve(grad, self.u_dag)
         if self.product:
             return (0.0, 0.0), out
         if self.flip_out is not None:
-            return _flip_terms(states, PAULI_YY, self.measure), out
-        return _cut_terms(states, *self.cut), out
+            return self._flip_kernel(states, PAULI_YY), out
+        return self._cut_kernel(states), out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.entanglements(self._states(raw)[0])
         return ef - e0
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
-        """Gradient of ``values`` at each parameter row, shape (m, n_raw)."""
+        """Gradient of ``values`` at each parameter row, shaped like ``raw``."""
         states, pull = self._states(raw)
         (_, grad_in), (_, grad_out) = self.terms(states)
         return pull(grad_out - grad_in)
@@ -312,7 +371,7 @@ class _PenalizedObjective(_CutObjective):
         states, pull = self._states(raw)
         (e0, grad_in), (ef, grad_out) = self.terms(states)
         weight = 2.0 * self.penalty * np.maximum(0.0, self.target - (ef - e0))
-        return pull(weight[:, None] * (grad_out - grad_in) - grad_in)
+        return pull(weight[..., None] * (grad_out - grad_in) - grad_in)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,27 +384,30 @@ def _tangent(vec: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return vec - _dots(vec, raw)[..., None] * raw
 
 
-def _central_differences(fn, raw: np.ndarray, step: float) -> np.ndarray:
-    """Entry [i, j] is (fn(raw_i + step e_j) - fn(raw_i - step e_j)) / (2 step).
+def _central_differences(objective, raw: np.ndarray, step: float, gradients=False):
+    """Entry [i, j] is (f(raw_i + step e_j) - f(raw_i - step e_j)) / (2 step),
+    with f the objective's ``values``, or its ``gradients`` if asked.
 
-    Whole rows share each ``fn`` call, up to ``_CERTIFICATE_ROWS`` shifted
-    rows, so memory does not grow with the row count."""
+    Whole rows share each call, up to ``_CERTIFICATE_ROWS`` shifted rows,
+    so memory does not grow with the row count."""
     k, n = raw.shape
     shifts = step * np.eye(n)
-    signed = np.stack([shifts, -shifts])
+    signed = np.concatenate([shifts, -shifts])
     per_call = max(1, _CERTIFICATE_ROWS // (2 * n))
-    out = np.concatenate([
-        fn((raw[i : i + per_call, None, None, :] + signed).reshape(-1, n))
-        for i in range(0, k, per_call)
-    ])
-    out = out.reshape(k, 2, n, *out.shape[1:])
+    parts = []
+    for i in range(0, k, per_call):
+        part = objective.take(slice(i, i + per_call))
+        fn = part.gradients if gradients else part.values
+        parts.append(fn(raw[i : i + per_call, None, :] + signed))
+    out = np.concatenate(parts)
+    out = out.reshape(k, 2, n, *out.shape[2:])
     return (out[:, 0] - out[:, 1]) / (2 * step)
 
 
 def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
     """Convergence certificate of each unit row of ``raw``: the norm of the
     tangent part of its central-difference gradient, step 1e-6."""
-    grad = _tangent(_central_differences(objective.values, raw, _GRAD_STEP), raw)
+    grad = _tangent(_central_differences(objective, raw, _GRAD_STEP), raw)
     return np.sqrt(_dots(grad, grad))
 
 
@@ -357,8 +419,8 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     value[i] + margin by the Armijo share of the rise that the directional
     derivative ``slope[i]`` predicts; no step at or below
     ``_STEP_TOLERANCE`` is acceptable.  All trials share one ``values``
-    call.  Returns (found, raw, value); entries of rows with found False
-    are junk.
+    call, with each row's trials on its own row.  Returns (found, raw,
+    value); entries of rows with found False are junk.
 
     The best objective wins, not the longest step: the longest barely-
     improving step stops contracting near an optimum.
@@ -366,17 +428,16 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     m, n = raw.shape
     direction = direction.reshape(m, -1, n)
     trials = raw[:, None, None] + ladders[:, None, :, None] * direction[:, :, None]
-    trials = trials.reshape(-1, n)
+    trials = trials.reshape(m, -1, n)
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
     steps = np.tile(ladders, direction.shape[1])
     accepted = (steps > _STEP_TOLERANCE) & (
-        trial_vals.reshape(m, -1)
-        >= value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
+        trial_vals >= value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
     )
-    scores = np.where(accepted, trial_vals.reshape(m, -1), -np.inf)
-    best = np.arange(m) * steps.shape[1] + np.argmax(scores, axis=1)
-    return accepted.any(axis=1), trials[best], trial_vals[best]
+    best = np.argmax(np.where(accepted, trial_vals, -np.inf), axis=1)
+    rows = np.arange(m)
+    return accepted.any(axis=1), trials[rows, best], trial_vals[rows, best]
 
 
 def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
@@ -397,13 +458,14 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     rows, rounds = np.arange(raw.shape[0]), 0
     while rows.size and rounds < _POLISH_ROUNDS:
         r, v, rounds = raw[rows], value[rows], rounds + 1
-        grad = _tangent(objective.gradients(r), r)
+        grad = _tangent(objective.take(rows).gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
         live = norm >= _CONVERGED_GRAD_NORM
         rows, r, v, grad, norm = rows[live], r[live], v[live], grad[live], norm[live]
         if not rows.size:
             break
-        hess = _central_differences(objective.gradients, r, _HESSIAN_STEP)
+        polishing = objective.take(rows)
+        hess = _central_differences(polishing, r, _HESSIAN_STEP, gradients=True)
         eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hess + hess.swapaxes(1, 2)))
         scale = np.maximum(np.abs(eigenvalues).max(axis=1), 1e-300)
         keep = eigenvalues < -1e-12 * scale[:, None]
@@ -427,8 +489,8 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
             tried = tried & ~moved
             if tried.any():
                 found, new_r, new_v = _best_rungs(
-                    objective, r[tried], v[tried], direction[tried], slope[tried],
-                    ladder[tried], margin,
+                    polishing.take(tried), r[tried], v[tried], direction[tried],
+                    slope[tried], ladder[tried], margin,
                 )
                 at = np.flatnonzero(tried)[found]
                 r[at], v[at], moved[at] = new_r[found], new_v[found], True
@@ -450,8 +512,10 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     ends it in a few rounds.  The line search is ``_best_rungs`` on slices
     of ``_LADDER`` from the row's step: the secant rung, the rest of the
     first 8 rungs, then the halving rungs, each slice for the rows the
-    earlier ones missed.  An iteration makes one ``gradients`` call and one
-    ``values`` call per slice that some row needs; returns (raw, value).
+    earlier ones missed and cut where no such row has a rung above
+    ``_STEP_TOLERANCE`` left.  An iteration makes one ``gradients`` call and
+    one ``values`` call per slice that some row needs, on the objective
+    restricted to the climbing rows; returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -461,28 +525,27 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     # far, so the window of past values is a deque of whole arrays.
     rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
     prev_r, prev_g = r, np.zeros_like(r)
+    climbing = objective
     history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
     norms = collections.deque(maxlen=_STALL_WINDOW)
-    # The secant step alone first: the best of all 8 rungs costs 8 trials a
-    # row, and the secant step is usually acceptable.
-    stages = (slice(0, 1), slice(1, _ASCENT_RUNGS), slice(_ASCENT_RUNGS, None))
 
     def leave(stop):
         """Write the rows in ``stop`` back and drop them; returns the mask
         of the rows that keep climbing."""
-        nonlocal rows, r, v, step, prev_r, prev_g, history, norms
+        nonlocal rows, r, v, step, prev_r, prev_g, climbing, history, norms
         raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
         keep = ~stop
         rows, r, v, step, prev_r, prev_g = (
             a[keep] for a in (rows, r, v, step, prev_r, prev_g)
         )
+        climbing = climbing.take(keep)
         history, norms = (
             collections.deque((h[keep] for h in d), d.maxlen) for d in (history, norms)
         )
         return keep
 
     for iteration in range(cfg.max_iterations):
-        grad = _tangent(objective.gradients(r), r)
+        grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
         flat = norm < 1e-13
         if flat.any():
@@ -503,18 +566,26 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
             secant = (bb > 0) & (bb < np.inf)
             step[secant] = np.minimum(bb[secant], _STEP_CAP)
         prev_r, prev_g = r, grad
-        ladders = step[:, None] * _LADDER
         # Along grad itself the directional derivative is its squared norm.
         slope = norm**2
+        # The secant step alone first: the best of all 8 rungs costs 8
+        # trials a row, and the secant step is usually acceptable.
         found, new_r, new_v = _best_rungs(
-            objective, r, v, grad, slope, ladders[:, stages[0]]
+            climbing, r, v, grad, slope, step[:, None] * _LADDER[:1]
         )
-        for stage in stages[1:]:
+        for start, stop in ((1, _ASCENT_RUNGS), (_ASCENT_RUNGS, _LADDER.size)):
             miss = ~found
-            if miss.any():
+            if not miss.any():
+                break
+            # Every row's rungs fall along the ladder, so past the largest
+            # step's last rung above the tolerance no row has one either.
+            stop = start + np.count_nonzero(
+                step[miss].max() * _LADDER[start:stop] > _STEP_TOLERANCE
+            )
+            if stop > start:
                 found[miss], new_r[miss], new_v[miss] = _best_rungs(
-                    objective, r[miss], v[miss], grad[miss], slope[miss],
-                    ladders[miss, stage],
+                    climbing.take(miss), r[miss], v[miss], grad[miss], slope[miss],
+                    step[miss, None] * _LADDER[start:stop],
                 )
         if not found.all():
             keep = leave(~found)
@@ -556,13 +627,14 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
     return OptimizerConfig(restarts=64 if anc_a + anc_b >= 4 else 32)
 
 
-def _result(objective, row: np.ndarray, converged: int, seed: int) -> CapacityResult:
-    """The result for parameter row ``row``, its values read off its state."""
-    state_row = objective._states(row[None, :])[0]
-    e0, ef = (float(e[0]) for e in objective.entanglements(state_row))
+def _result(objective, raw: np.ndarray, i: int, converged: int, seed: int):
+    """The result for row ``i`` of ``raw``, its values read off its state."""
+    row = objective.take([i])
+    state_row = row._states(raw[i : i + 1])[0]
+    e0, ef = (float(e[0]) for e in row.entanglements(state_row))
     return CapacityResult(
         value=ef - e0,
-        optimal_state=PureState(state_row[0], objective.partition),
+        optimal_state=PureState(state_row[0], row.partition),
         initial_entanglement=e0,
         final_entanglement=ef,
         converged_restarts=converged,
@@ -570,21 +642,60 @@ def _result(objective, row: np.ndarray, converged: int, seed: int) -> CapacityRe
     )
 
 
-def _multistart(objective, cfg: OptimizerConfig) -> CapacityResult:
+def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=False):
+    """Multi-start search of every gate in ``gates``, in lockstep blocks.
+
+    Each gate gets the restarts seeded master_seed, ..., master_seed + k - 1
+    (k = cfg.restarts), so the k starts are drawn once.  Consecutive gates
+    form blocks of at most ``_BLOCK_PARAMETERS`` parameters, and of at least
+    one gate.  Returns, per gate, its CapacityResult or the ConvergenceError
+    of a gate none of whose restarts certified.
+    """
+    objective = _CutObjective(gates, measure, anc_a, anc_b, product)
     seeds = range(cfg.master_seed, cfg.master_seed + cfg.restarts)
-    raw0 = np.array([make_rng(seed).standard_normal(objective.n_raw) for seed in seeds])
-    raw, value = _ascend(objective, raw0, cfg)
+    starts = np.array([make_rng(s).standard_normal(objective.n_raw) for s in seeds])
+    per_block = max(1, _BLOCK_PARAMETERS // starts.size)
+    return [
+        result
+        for first in range(0, len(objective.u), per_block)
+        for result in _block_results(
+            objective.take(slice(first, first + per_block)), starts, seeds, cfg
+        )
+    ]
+
+
+def _block_results(objective, starts, seeds, cfg: OptimizerConfig) -> list:
+    """``_capacities`` of the gates of ``objective`` as one block: the
+    (gates * k, n) rows climb, polish and certify together, and each gate's
+    k rows reduce on their own."""
+    count, k = len(objective.u), len(starts)
+    objective = objective.take(np.repeat(np.arange(count), k))
+    raw, value = _ascend(objective, np.tile(starts, (count, 1)), cfg)
     # A restart converged if its certificate at the exit point holds; a NaN
     # restart neither counts nor wins.
     converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
-    converged_count = int(np.count_nonzero(converged & ~np.isnan(value)))
-    if converged_count == 0:
-        raise ConvergenceError(
-            f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-        )
-    # nanargmax returns the first maximum, which belongs to the lowest seed.
-    best = int(np.nanargmax(value))
-    return _result(objective, raw[best], converged_count, seeds[best])
+    converged &= ~np.isnan(value)
+    results = []
+    for first in range(0, count * k, k):
+        certified = int(np.count_nonzero(converged[first : first + k]))
+        if certified == 0:
+            results.append(ConvergenceError(
+                f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
+            ))
+            continue
+        # nanargmax returns the first maximum, which belongs to the lowest seed.
+        best = int(np.nanargmax(value[first : first + k]))
+        results.append(_result(objective, raw, first + best, certified, seeds[best]))
+    return results
+
+
+def _capacity(u, measure, anc_a, anc_b, cfg, product):
+    """The one-gate case of ``_capacities``; raises its ConvergenceError."""
+    cfg = cfg or _default_config(anc_a, anc_b)
+    (result,) = _capacities([u], measure, anc_a, anc_b, cfg, product)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def numeric_capacity(
@@ -595,8 +706,7 @@ def numeric_capacity(
     cfg: OptimizerConfig | None = None,
 ) -> CapacityResult:
     """Maximize E(U psi) - E(psi) over all initial states of the register."""
-    cfg = cfg or _default_config(anc_a, anc_b)
-    return _multistart(_CutObjective(u, measure, anc_a, anc_b), cfg)
+    return _capacity(u, measure, anc_a, anc_b, cfg, product=False)
 
 
 def product_start_capacity(
@@ -607,8 +717,7 @@ def product_start_capacity(
     cfg: OptimizerConfig | None = None,
 ) -> CapacityResult:
     """Maximize E(U psi) over initial states that are product across A|B."""
-    cfg = cfg or _default_config(anc_a, anc_b)
-    return _multistart(_CutObjective(u, measure, anc_a, anc_b, product=True), cfg)
+    return _capacity(u, measure, anc_a, anc_b, cfg, product=True)
 
 
 def minimize_initial_entanglement(
@@ -641,7 +750,7 @@ def minimize_initial_entanglement(
     for _ in range(_MULTIPLIER_ROUNDS):
         raw, _ = _ascend(penalized, raw, cfg)
         result = _result(
-            penalized, raw[0], base.converged_restarts, base.best_restart_seed
+            penalized, raw, 0, base.converged_restarts, base.best_restart_seed
         )
         if result.value >= target:
             return result
@@ -718,22 +827,40 @@ def family_unitary(family: GateFamily) -> np.ndarray:
     return build_canonical_unitary(clamped.canonical_alpha())
 
 
-def _sweep_row(task) -> SweepRow:
-    label, gate, argument, measure, anc_a, anc_b, cfg, product_start = task
+def _sweep_gate(gate, argument, measure, anc_a, anc_b):
+    """A sweep row's gate, checked as its search would check it, or the
+    domain error that makes the row an error row."""
     try:
-        run = product_start_capacity if product_start else numeric_capacity
-        result = run(gate(argument), measure, anc_a, anc_b, cfg)
-        return SweepRow(
-            alpha=label,
-            capacity=result.value,
-            initial_entanglement=result.initial_entanglement,
-            final_entanglement=result.final_entanglement,
-            converged_restarts=result.converged_restarts,
-        )
+        u = gate(argument)
+        _register_dims(measure, anc_a, anc_b)
+        return _require_unitary(u)
     except (EntcapError, ValueError) as exc:
         # Domain errors are recorded per row instead of aborting the sweep;
         # anything else is a bug and propagates.
-        return SweepRow(label, math.nan, math.nan, math.nan, 0, str(exc))
+        return exc
+
+
+def _sweep_block(task) -> list[SweepRow]:
+    """The rows of one chunk of a sweep: its gates search as one block."""
+    rows, measure, anc_a, anc_b, cfg, product_start = task
+    gates = [u for _, u in rows if not isinstance(u, Exception)]
+    found = iter(
+        _capacities(gates, measure, anc_a, anc_b, cfg, product_start) if gates else ()
+    )
+    out = []
+    for label, u in rows:
+        result = u if isinstance(u, Exception) else next(found)
+        if isinstance(result, Exception):
+            out.append(SweepRow(label, math.nan, math.nan, math.nan, 0, str(result)))
+        else:
+            out.append(SweepRow(
+                alpha=label,
+                capacity=result.value,
+                initial_entanglement=result.initial_entanglement,
+                final_entanglement=result.final_entanglement,
+                converged_restarts=result.converged_restarts,
+            ))
+    return out
 
 
 def _pool_size(workers: int, rows: int) -> int:
@@ -742,14 +869,30 @@ def _pool_size(workers: int, rows: int) -> int:
 
 
 def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
-    """Capacity of each (label, gate builder, builder argument) row."""
+    """Capacity of each (label, gate builder, builder argument) row.
+
+    Every row's gate is built and checked first; a domain error there makes
+    that row an error row.  The other rows then search in lockstep: all
+    restarts of all rows climb, polish and certify as one block, and each
+    row reduces its own restarts.  With workers > 1 each process takes one
+    contiguous chunk of rows as its block.  A restart's result depends only
+    on its seed, config and gate, so rows come out the same for any chunking.
+    """
     cfg = cfg or _default_config(anc_a, anc_b)
-    tasks = [(*row, measure, anc_a, anc_b, cfg, product_start) for row in rows]
-    size = _pool_size(workers, len(tasks))
+    built = [
+        (label, _sweep_gate(gate, argument, measure, anc_a, anc_b))
+        for label, gate, argument in rows
+    ]
+    size = _pool_size(workers, len(built))
+    tasks = [
+        (built[i * len(built) // size : (i + 1) * len(built) // size],
+         measure, anc_a, anc_b, cfg, product_start)
+        for i in range(size)
+    ]
     if size == 1:
-        return [_sweep_row(t) for t in tasks]
+        return _sweep_block(tasks[0])
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(_sweep_row, tasks))
+        return [row for block in pool.map(_sweep_block, tasks) for row in block]
 
 
 def family_sweep(
@@ -764,9 +907,10 @@ def family_sweep(
 ) -> list[SweepRow]:
     """Capacity at each alpha of a family grid.
 
-    Rows are independent; with workers > 1 they are computed in a process
-    pool.  Results are identical for any worker count because every row
-    re-derives its randomness from the same config.
+    All restarts of all rows search as one lockstep block, and each row
+    reduces its own; with workers > 1 each process takes one contiguous
+    chunk of rows as its block.  Every row equals ``numeric_capacity`` on
+    its gate bit for bit, so results are identical for any worker count.
     """
     rows = [(float(a), family_unitary, GateFamily(kind, float(a))) for a in alphas]
     return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)

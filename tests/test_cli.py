@@ -175,7 +175,7 @@ def test_capacity_never_runs_the_optimizer(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the analytic capacity path ran the optimizer")
 
-    monkeypatch.setattr(entcap.optimize, "_multistart", refuse)
+    monkeypatch.setattr(entcap.optimize, "_capacities", refuse)
     gates = {
         "cnot": (CNOT, "OneEbit"),
         "dcnot": (DCNOT, "OneEbit"),

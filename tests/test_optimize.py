@@ -199,8 +199,11 @@ class _DistanceTo:
     def __init__(self, target):
         self.target = target
 
+    def take(self, rows):
+        return self
+
     def values(self, raw):
-        return -np.abs(raw[:, 0] - self.target)
+        return -np.abs(raw[..., 0] - self.target)
 
 
 @pytest.mark.parametrize(
@@ -232,13 +235,16 @@ class _SteepQuadratic:
 
     n_raw = 4
 
+    def take(self, rows):
+        return self
+
     def values(self, raw):
-        x = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        return -1e6 * (x[:, 0] - 0.5) ** 2
+        x = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        return -1e6 * (x[..., 0] - 0.5) ** 2
 
     def gradients(self, raw):
         grad = np.zeros_like(raw)
-        grad[:, 0] = -2e6 * (raw[:, 0] / np.linalg.norm(raw, axis=1) - 0.5)
+        grad[..., 0] = -2e6 * (raw[..., 0] / np.linalg.norm(raw, axis=-1) - 0.5)
         return grad
 
 
@@ -309,19 +315,61 @@ def test_restart_result_independent_of_batch(u, measure, anc):
         assert abs(alone_certificate[0] - certificate[i]) <= 1e-12, i
 
 
-class _RowCounter:
-    """An objective that logs the rows of every call, in order, as
-    ("values" or "gradients", row count)."""
+# Three regions and the Region1/OneEbit boundary, as a sweep mixes them.
+MIXED_GATES = [
+    REGION_1_GATE,
+    REGION_2_GATE,
+    build_canonical_unitary((np.pi / 8, np.pi / 8, 0.0)),
+    _dressed(5, (0.6, 0.3, 0.1)),
+]
 
-    def __init__(self, objective):
-        self.objective, self.n_raw, self.calls = objective, objective.n_raw, []
+
+@pytest.mark.parametrize(
+    "measure, anc",
+    [
+        (MeasureKind.CONCURRENCE_SQUARED, (0, 0)),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (1, 1)),
+    ],
+    ids=["c2", "entropy-a11"],
+)
+def test_restart_result_independent_of_batch_with_mixed_gates(measure, anc):
+    # A sweep climbs the restarts of several gates as one block: each
+    # restart must end exactly where its gate's restarts end climbing alone.
+    k, cfg = 6, OptimizerConfig(restarts=6)
+    block = optimize._CutObjective(MIXED_GATES, measure, *anc)
+    block = block.take(np.repeat(np.arange(len(MIXED_GATES)), k))
+    starts = np.array([make_rng(s).standard_normal(block.n_raw) for s in range(k)])
+    raw, value = optimize._ascend(block, np.tile(starts, (len(MIXED_GATES), 1)), cfg)
+    certificate = optimize._certificate_norms(block, raw)
+    for g, u in enumerate(MIXED_GATES):
+        alone = optimize._CutObjective(u, measure, *anc)
+        alone_raw, alone_value = optimize._ascend(alone, starts, cfg)
+        rows = slice(g * k, (g + 1) * k)
+        assert np.array_equal(alone_raw, raw[rows]), g
+        assert np.array_equal(alone_value, value[rows]), g
+        assert np.array_equal(
+            optimize._certificate_norms(alone, alone_raw), certificate[rows]
+        ), g
+
+
+class _RowCounter:
+    """An objective that logs the parameter rows of every call, in order, as
+    ("values" or "gradients", row count); its restrictions log to the same
+    list."""
+
+    def __init__(self, objective, calls=None):
+        self.objective, self.n_raw = objective, objective.n_raw
+        self.calls = [] if calls is None else calls
+
+    def take(self, rows):
+        return _RowCounter(self.objective.take(rows), self.calls)
 
     def values(self, raw):
-        self.calls.append(("values", len(raw)))
+        self.calls.append(("values", raw[..., 0].size))
         return self.objective.values(raw)
 
     def gradients(self, raw):
-        self.calls.append(("gradients", len(raw)))
+        self.calls.append(("gradients", raw[..., 0].size))
         return self.objective.gradients(raw)
 
     @property
@@ -508,9 +556,54 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(*args):
         raise TypeError("a bug, not a domain error")
 
-    monkeypatch.setattr(optimize, "numeric_capacity", broken)
+    monkeypatch.setattr(optimize, "_ascend", broken)
     with pytest.raises(TypeError):
         family_sweep(FamilyKind.CNOT, [0.3], MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+
+
+def _outcome(row):
+    """A sweep row's numbers, or a CapacityResult's, as one tuple."""
+    if isinstance(row, CapacityResult):
+        return (row.value, row.initial_entanglement, row.final_entanglement,
+                row.converged_restarts)
+    return (row.capacity, row.initial_entanglement, row.final_entanglement,
+            row.converged_restarts)
+
+
+def test_sweep_rows_equal_numeric_capacity_bit_for_bit():
+    c2, entropy = MeasureKind.CONCURRENCE_SQUARED, MeasureKind.ENTROPY_OF_ENTANGLEMENT
+    triples = [(0.3, 0.2, 0.1), (np.pi / 8, np.pi / 8, 0.0), (0.7, 0.5, 0.3),
+               (0.6, 0.3, 0.1)]
+    for triple, row in zip(triples, custom_sweep(triples, c2, cfg=FAST)):
+        alone = numeric_capacity(build_canonical_unitary(triple), c2, cfg=FAST)
+        assert _outcome(row) == _outcome(alone), triple
+    alphas = [0.2, np.pi / 8, QUARTER_PI]
+    rows = family_sweep(FamilyKind.DCNOT, alphas, entropy, 1, 1, cfg=FAST)
+    for alpha, row in zip(alphas, rows):
+        u = family_unitary(GateFamily(FamilyKind.DCNOT, alpha))
+        alone = numeric_capacity(u, entropy, 1, 1, cfg=FAST)
+        assert _outcome(row) == _outcome(alone), alpha
+
+
+def test_sweep_row_without_a_certified_restart_is_an_error_row(monkeypatch):
+    c2 = MeasureKind.CONCURRENCE_SQUARED
+    triples = [(0.3, 0.2, 0.1), (0.5, 0.4, 0.1), (0.7, 0.5, 0.3)]
+    before = custom_sweep(triples, c2, cfg=FAST)
+    failing = build_canonical_unitary(triples[1])
+    real = optimize._certificate_norms
+
+    def failing_gate_never_certifies(objective, raw):
+        norms = real(objective, raw)
+        norms[np.all(objective.u == failing, axis=(1, 2))] = np.inf
+        return norms
+
+    monkeypatch.setattr(optimize, "_certificate_norms", failing_gate_never_certifies)
+    rows = custom_sweep(triples, c2, cfg=FAST)
+    assert rows[1].error == "no restart reached gradient norm below 1e-06"
+    assert math.isnan(rows[1].capacity)
+    assert rows[1].converged_restarts == 0
+    assert rows[0] == before[0]
+    assert rows[2] == before[2]
 
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(monkeypatch):
