@@ -132,19 +132,17 @@ def _load_matrix(args) -> np.ndarray:
     return parse_matrix_file(args.matrix, args.format, args.unitary_tol)
 
 
-def _config_from(args, anc_a: int = 0, anc_b: int = 0):
+def _config_from(args):
     """The library's default config for the ancilla counts, with any
-    explicit overrides."""
-    overrides = {}
-    if getattr(args, "restarts", None) is not None:
-        overrides["restarts"] = args.restarts
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        overrides["objective_tolerance"] = args.tol
-    if getattr(args, "max_iterations", None) is not None:
-        overrides["max_iterations"] = args.max_iterations
-    return replace(_default_config(anc_a, anc_b), **overrides)
+    explicit overrides; ``--max-iterations`` is optimize's alone."""
+    overrides = dict(
+        restarts=args.restarts,
+        master_seed=args.seed,
+        objective_tolerance=args.tol,
+        max_iterations=getattr(args, "max_iterations", None),
+    )
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return replace(_default_config(args.anc_a, args.anc_b), **given)
 
 
 def _cmd_decompose(args) -> int:
@@ -191,7 +189,7 @@ def _cmd_capacity(args) -> int:
 def _cmd_optimize(args) -> int:
     u = _load_matrix(args)
     kind = MeasureKind(args.measure)
-    cfg = _config_from(args, args.anc_a, args.anc_b)
+    cfg = _config_from(args)
     run = product_start_capacity if args.product_start else numeric_capacity
     res = run(u, kind, args.anc_a, args.anc_b, cfg)
     print(f"capacity = {_fmt(res.value)}")
@@ -221,7 +219,7 @@ def _csv_text(rows: list[SweepRow]) -> str:
 
 def _cmd_sweep(args) -> int:
     kind = MeasureKind(args.measure)
-    cfg = _config_from(args, args.anc_a, args.anc_b)
+    cfg = _config_from(args)
     common = dict(
         measure=kind,
         anc_a=args.anc_a,

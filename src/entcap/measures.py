@@ -5,10 +5,11 @@ partition labels.  The linear entropy is reported as defined,
 R = 1 - Tr(rho_A^2); for two-qubit cuts that tops out at 1/2, so a rescaled
 variant 2R with range [0, 1] is exposed alongside it.
 
-Each measure has one implementation, the batched kernel
-``entanglement_batch`` over rows of states cut between dim_a and dim_b; the
-scalar functions feed it one row.  ``_cut_terms`` and ``_flip_terms`` return
-the same values with their closed-form gradients, for the optimizer.
+Each measure has one kernel over rows of states cut between dim_a and
+dim_b: ``_flip_terms`` for the concurrences, ``_cut_terms`` (clamped at 0)
+for the linear entropy and the entropy.  A kernel returns the values with
+their closed-form gradients, or, as ``entanglement_batch``, the same value
+bits alone; the scalar functions feed ``entanglement_batch`` one row.
 """
 from __future__ import annotations
 
@@ -56,62 +57,63 @@ def entanglement_batch(
     states = np.atleast_2d(states)
     if kind in CONCURRENCE_KINDS:
         require_qubit_pair(kind, dim_a, dim_b)
-        vals = np.abs(np.einsum("mi,ij,mj->m", states, PAULI_YY, states))
-        return vals if kind is MeasureKind.CONCURRENCE else vals**2
-    t = states.reshape(-1, dim_a, dim_b)
-    if dim_a <= dim_b:
-        rho = np.einsum("mab,mcb->mac", t, t.conj())
-    else:
-        rho = np.einsum("mab,mac->mbc", t, t.conj())
-    if kind is MeasureKind.LINEAR_ENTROPY:
-        return 1.0 - np.einsum("mab,mab->m", rho, rho.conj()).real
-    if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
-        return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
-    raise UnsupportedMeasureError(f"unknown measure kind {kind!r}")
+        return _flip_terms(states, kind, _value_only=True)
+    return _cut_terms(states, kind, dim_a, dim_b, _value_only=True)
 
 
-# Closed-form gradients.  A kernel returns each row's entanglement E with
+# With their gradients the kernels return each row's entanglement E with
 # dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
 # psi: the optimizer projects that direction out, because every objective
 # depends on its parameters only through normalized states.
 
 
-def _flip_terms(states: np.ndarray, flip: np.ndarray, kind: MeasureKind):
-    """Concurrence |psi^T F psi|, or its square, for the symmetric form F.
-
-    ``states`` may carry leading axes beyond the rows, and ``flip`` may be a
-    stack that broadcasts against them as in ``states @ flip``."""
-    w = states @ flip
-    c = np.einsum("...i,...i->...", w, states)
-    grad = 2.0 * c[..., None] * w.conj()
-    if kind is MeasureKind.CONCURRENCE_SQUARED:
-        return np.abs(c) ** 2, grad
+def _flip_terms(rows: np.ndarray, kind: MeasureKind, _value_only=False):
+    """Concurrence |psi^T (sigma_y x sigma_y) psi| of two-qubit rows, or its
+    square (Wootters, PRL 80, 2245)."""
+    if kind not in CONCURRENCE_KINDS:
+        raise UnsupportedMeasureError(f"{kind!r} is not a concurrence")
+    w = rows @ PAULI_YY
+    c = np.einsum("mi,mi->m", w, rows)
     conc = np.abs(c)
-    # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
-    half_inverse = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
-    return conc, grad * half_inverse[..., None]
+    squared = kind is MeasureKind.CONCURRENCE_SQUARED
+    value = conc**2 if squared else conc
+    if _value_only:
+        return value
+    grad = 2.0 * c[:, None] * w.conj()
+    if not squared:
+        # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
+        grad *= np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)[:, None]
+    return value, grad
 
 
-def _cut_terms(states: np.ndarray, kind: MeasureKind, dim_a: int, dim_b: int):
-    """Linear entropy or entropy across the cut, from the smaller Gram matrix.
+def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, _value_only=False):
+    """Linear entropy or entropy of rows across the cut, from the smaller
+    Gram matrix K, clamped at 0 against roundoff below it.
 
     With K = T T^dagger (T the reshaped state), dE/d(conj T) is -2 K T for
     the linear entropy and -(log2 K) T for the entropy; with K = T^dagger T
     the factor multiplies T from the right instead.
     """
-    m = states.shape[0]
-    t = states.reshape(m, dim_a, dim_b)
+    m = rows.shape[0]
+    t = rows.reshape(m, dim_a, dim_b)
     t_dag = t.conj().transpose(0, 2, 1)
     left = dim_a <= dim_b
     gram = t @ t_dag if left else t_dag @ t
     if kind is MeasureKind.LINEAR_ENTROPY:
-        value = 1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real
+        value = np.maximum(1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real, 0.0)
+    elif kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
+        value = spectrum_entropy_bits(np.linalg.eigvalsh(gram))
+    else:
+        raise UnsupportedMeasureError(f"{kind!r} is not a measure across a cut")
+    if _value_only:
+        return value
+    if kind is MeasureKind.LINEAR_ENTROPY:
         factor = -2.0 * gram
     else:
+        # eigh for the log's eigenvectors; the value above keeps eigvalsh's
+        # spectrum, which differs from eigh's in the last bits.
         w, vecs = np.linalg.eigh(gram)
-        logs = log2_spectrum(w)
-        value = -(w * logs).sum(axis=-1)
-        factor = -(vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        factor = -(vecs * log2_spectrum(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     grad = factor @ t if left else t @ factor
     return value, grad.reshape(m, -1)
 

@@ -10,9 +10,10 @@ state's two factors instead.  One line-search rule serves the climb and the
 polish: the best Armijo-acceptable rung of a ladder wins, and no step at or
 below ``_STEP_TOLERANCE``.  The climb tries a row's secant step alone, then
 the rest of 8 rungs halving from it, then halvings down to that tolerance,
-each for the rows the earlier ones missed.  Every objective has a
-closed-form batched gradient; central differences serve only the
-convergence certificate and the polish's Hessians.
+each for the rows the earlier ones missed.  Every measure takes one path:
+the output term is the measure of U psi, its closed-form gradient pulled
+back through U^dagger; central differences serve only the convergence
+certificate and the polish's Hessians.
 
 All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
@@ -64,7 +65,6 @@ from .measures import (
     require_qubit_pair,
 )
 from .qcore import (
-    PAULI_YY,
     QUARTER_PI,
     PureState,
     _require_unitary,
@@ -249,10 +249,6 @@ class _CutObjective:
         u = np.stack([_require_unitary(g) for g in gates])
         self.u = u
         self.u_dag = u.conj().swapaxes(1, 2)
-        # The output concurrence of psi is that of U psi: |psi^T (U^T M U) psi|.
-        self.flip_out = (
-            u.swapaxes(1, 2) @ PAULI_YY @ u if measure in CONCURRENCE_KINDS else None
-        )
         self.measure = measure
         # The measure and the A|B cut, as the kernels take them.
         self.cut = (measure, self.dim_a, self.dim_b)
@@ -270,8 +266,6 @@ class _CutObjective:
             return self
         part = copy.copy(self)
         part.u, part.u_dag = self.u[rows], self.u_dag[rows]
-        if self.flip_out is not None:
-            part.flip_out = self.flip_out[rows]
         return part
 
     def _states(self, raw: np.ndarray):
@@ -316,32 +310,25 @@ class _CutObjective:
             return np.zeros_like(ef), ef
         return self._measured(states), ef
 
-    def _cut_kernel(self, states: np.ndarray):
-        """``_cut_terms`` of every state, through the kernel's flat rows."""
-        value, grad = _cut_terms(states.reshape(-1, self.dim), *self.cut)
-        return value.reshape(states.shape[:-1]), grad.reshape(states.shape)
-
-    def _flip_kernel(self, states: np.ndarray, flip: np.ndarray):
-        """``_flip_terms`` of every state, each row's against its own form
-        when ``flip`` is a stack like ``u``."""
-        rows = states.reshape(len(states), -1, 4)
-        value, grad = _flip_terms(rows, flip, self.measure)
+    def _kernel(self, states: np.ndarray):
+        """The measure of every state with its derivative in conj(psi),
+        through the kernel's flat rows."""
+        flat = states.reshape(-1, self.dim)
+        if self.measure in CONCURRENCE_KINDS:
+            value, grad = _flip_terms(flat, self.measure)
+        else:
+            value, grad = _cut_terms(flat, *self.cut)
         return value.reshape(states.shape[:-1]), grad.reshape(states.shape)
 
     def terms(self, states: np.ndarray):
         """The input and output terms of each state: each is an
-        entanglement with its derivative in conj(psi), the output's pulled
-        back through U^dagger.  A product row's input term is 0."""
-        if self.flip_out is not None:
-            out = self._flip_kernel(states, self.flip_out)
-        else:
-            value, grad = self._cut_kernel(self.evolve(states))
-            out = value, self.evolve(grad, self.u_dag)
+        entanglement with its derivative in conj(psi), the output's that of
+        U psi pulled back through U^dagger.  A product row's input term is 0."""
+        value, grad = self._kernel(self.evolve(states))
+        out = value, self.evolve(grad, self.u_dag)
         if self.product:
             return (0.0, 0.0), out
-        if self.flip_out is not None:
-            return self._flip_kernel(states, PAULI_YY), out
-        return self._cut_kernel(states), out
+        return self._kernel(states), out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.entanglements(self._states(raw)[0])

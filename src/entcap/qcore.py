@@ -175,9 +175,9 @@ def log2_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def spectrum_entropy_bits(w: np.ndarray) -> np.ndarray:
-    """-sum(w log2 w) over the last axis of a batch of spectra, in bits."""
-    # adding 0.0 turns the negative zero of an all-dropped spectrum into 0
-    return -(w * log2_spectrum(w)).sum(axis=-1) + 0.0
+    """-sum(w log2 w) over the last axis of a batch of spectra, in bits,
+    clamped at 0 against roundoff (and negative zeros) below it."""
+    return np.maximum(-(w * log2_spectrum(w)).sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy_bits(rho: np.ndarray) -> float:

@@ -225,6 +225,17 @@ def test_optimize_output(cnot_file, capsys):
     assert value == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("measure", ["entropy", "linear"])
+def test_optimize_prints_no_negative_initial_entanglement(cnot_file, capsys, measure):
+    # CNOT's optimal inputs are product states, whose entanglement roundoff
+    # once printed as -3.2e-16 (entropy) and -8.9e-16 (linear).
+    argv = ["optimize", "--matrix", cnot_file, "--measure", measure, "--restarts", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    (line,) = [x for x in out.splitlines() if x.startswith("initial_entanglement = ")]
+    assert not line.split(" = ")[1].startswith("-"), line
+
+
 def test_exit_codes(cnot_file, tmp_path, capsys):
     assert main(["decompose", "--matrix", str(tmp_path / "nope.json")]) == 1
     assert main(["decompose"]) == 2

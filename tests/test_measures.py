@@ -3,9 +3,13 @@ import pytest
 
 from entcap.errors import DimensionMismatchError, UnsupportedMeasureError
 from entcap.measures import (
+    CONCURRENCE_KINDS,
     MeasureKind,
+    _cut_terms,
+    _flip_terms,
     binary_entropy,
     concurrence,
+    entanglement_batch,
     entropy_from_concurrence,
     entropy_of_entanglement,
     evaluate,
@@ -126,3 +130,65 @@ def test_measure_kind_round_trips_flag_strings():
     assert MeasureKind("concurrence") is MeasureKind.CONCURRENCE
     assert MeasureKind("entropy") is MeasureKind.ENTROPY_OF_ENTANGLEMENT
     assert MeasureKind("linear") is MeasureKind.LINEAR_ENTROPY
+
+
+CUTS = ((2, 2), (2, 4), (4, 2), (4, 4), (8, 8))
+CUT_KINDS = (MeasureKind.LINEAR_ENTROPY, MeasureKind.ENTROPY_OF_ENTANGLEMENT)
+
+
+def _unit(rng, *shape):
+    """Haar-random unit vectors along the last axis."""
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _kernel_rows(dim_a, dim_b, seed=0):
+    """Haar-random rows cut between dim_a and dim_b, then product rows, on
+    which the cut measures sit at their clamp."""
+    rng = make_rng(seed)
+    product = [np.kron(_unit(rng, dim_a), _unit(rng, dim_b)) for _ in range(4)]
+    return np.concatenate([_unit(rng, 12, dim_a * dim_b), product])
+
+
+def _kernel(kind, dims):
+    """The kernel that computes ``kind``, on rows cut as ``dims``."""
+    if kind in CONCURRENCE_KINDS:
+        return lambda rows, **mode: _flip_terms(rows, kind, **mode)
+    return lambda rows, **mode: _cut_terms(rows, kind, *dims, **mode)
+
+
+@pytest.mark.parametrize(
+    "kind, dims",
+    [
+        pytest.param(kind, dims, id=f"{kind.value}-{dims[0]}x{dims[1]}")
+        for kind in MeasureKind
+        for dims in CUTS
+        if kind not in CONCURRENCE_KINDS or dims == (2, 2)
+    ],
+)
+def test_value_only_mode_is_the_value_half_of_gradient_mode(monkeypatch, kind, dims):
+    rows = _kernel_rows(*dims)
+    kernel = _kernel(kind, dims)
+    value, grad = kernel(rows)
+    assert grad.shape == rows.shape
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a value-only call ran eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    # Bit for bit, signed zeros included.
+    assert kernel(rows, _value_only=True).tobytes() == value.tobytes()
+    assert entanglement_batch(rows, kind, *dims).tobytes() == value.tobytes()
+
+
+def test_kernels_reject_measures_they_do_not_compute():
+    rows = _kernel_rows(2, 2)
+    for mode in ({}, {"_value_only": True}):
+        for kind in (*CUT_KINDS, "bogus"):
+            with pytest.raises(UnsupportedMeasureError):
+                _flip_terms(rows, kind, **mode)
+        for kind in (*CONCURRENCE_KINDS, "bogus"):
+            with pytest.raises(UnsupportedMeasureError):
+                _cut_terms(rows, kind, 2, 2, **mode)
+    with pytest.raises(UnsupportedMeasureError):
+        entanglement_batch(rows, "bogus")

@@ -1,7 +1,7 @@
-"""Property tests: the measure wrappers against the batched kernel, the
-canonical decomposition on the edges of the canonical cell, and the
-closed-form capacities under local unitaries, conjugation and on the region
-boundaries."""
+"""Property tests: the measure wrappers against the batched kernel, their
+non-negativity on product states, the canonical decomposition on the edges
+of the canonical cell, and the closed-form capacities under local unitaries,
+conjugation and on the region boundaries."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +109,23 @@ def test_measures_invariant_under_local_unitaries(partition, seed):
         if kind in CONCURRENCE_KINDS and (dim_a, dim_b) != (2, 2):
             continue
         assert evaluate(kind, rotated) == pytest.approx(evaluate(kind, psi), abs=1e-10)
+
+
+@FEW
+@given(partition=PARTITIONS, seed=SEEDS)
+def test_measures_of_product_states_are_not_negative(partition, seed):
+    # Roundoff leaves a product state's entropies within ~1e-16 of 0, on
+    # either side; the kernel clamps them at 0, negative zeros included.
+    dim_a, dim_b = _cut_dims(partition)
+    va = haar_random_unitary(dim_a, seed)[:, 0]
+    vb = haar_random_unitary(dim_b, seed + 1)[:, 0]
+    psi = PureState(np.kron(va, vb)[_a_first_order(partition)], partition)
+    for kind in MeasureKind:
+        if kind in CONCURRENCE_KINDS and (dim_a, dim_b) != (2, 2):
+            continue
+        for keep in "AB":
+            value = evaluate(kind, psi, keep)
+            assert value >= 0.0 and not np.signbit(value), (kind, keep, value)
 
 
 def _edge_point(edge, u, v, sign):
