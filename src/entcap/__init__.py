@@ -6,6 +6,8 @@ region, and a multi-start numerical optimizer over (optionally
 ancilla-extended) initial pure states.
 """
 
+from types import ModuleType as _ModuleType
+
 from .canonical import (
     CanonicalParams,
     bell_coefficients,
@@ -80,64 +82,8 @@ from .qcore import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticCapacity",
-    "BELL_BASIS",
-    "CNOT",
-    "CanonicalParams",
-    "CapacityResult",
-    "ConvergenceError",
-    "DCNOT",
-    "DimensionMismatchError",
-    "EntcapError",
-    "FamilyKind",
-    "GateFamily",
-    "IDENTITY4",
-    "InterconversionBounds",
-    "MatrixParseError",
-    "MeasureKind",
-    "NotCanonicalError",
-    "NotNormalizedError",
-    "NotUnitaryError",
-    "OptimizerConfig",
-    "PureState",
-    "RegionTag",
-    "SWAP",
-    "SweepRow",
-    "UnsupportedMeasureError",
-    "WrongPartitionError",
-    "ZeroCapacityError",
-    "bell_coefficients",
-    "binary_entropy",
-    "build_canonical_unitary",
-    "capacity_c2",
-    "capacity_concurrence",
-    "capacity_entropy_no_ancilla",
-    "capacity_linear_entropy",
-    "concurrence",
-    "custom_sweep",
-    "decompose",
-    "delta_c2_bell",
-    "entropy_from_concurrence",
-    "entropy_of_entanglement",
-    "evaluate",
-    "family_sweep",
-    "family_unitary",
-    "haar_random_local_unitary",
-    "haar_random_state",
-    "haar_random_unitary",
-    "interconversion_bounds",
-    "invariants_match",
-    "linear_entropy",
-    "linear_entropy_rescaled",
-    "local_invariants",
-    "make_rng",
-    "minimize_initial_entanglement",
-    "n_copy_capacity",
-    "numeric_capacity",
-    "parameterize_state",
-    "partial_trace",
-    "product_start_capacity",
-    "region_of",
-    "von_neumann_entropy_bits",
-]
+# Every name imported above is public API; the submodules are not.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

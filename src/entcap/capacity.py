@@ -24,7 +24,9 @@ No result runs the numerical optimizer.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -35,13 +37,11 @@ from .errors import DimensionMismatchError, NotCanonicalError, NotNormalizedErro
 from .qcore import BELL_BASIS, QUARTER_PI, PureState
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-_TRIANGLES = tuple(list(t) for t in itertools.combinations(range(4), 3))
-# Barycentric coordinates of zero: real and imaginary parts 0, weights sum 1.
-_ORIGIN_WEIGHTS = np.array([0.0, 0.0, 1.0])
 
 # One period of the mixing phase.  The entropy gain has one maximum per
 # period, so the best grid point's two neighbours bracket it.
 _PHASE_GRID = np.linspace(0.0, np.pi, 257)
+_PHASE_STEP = float(_PHASE_GRID[1])
 
 # Boundaries are a few ulps of pi/4 wide, so that the tag of a gate on one
 # does not hang on the last bit of ``decompose`` (accurate to ~6e-16).
@@ -96,30 +96,54 @@ def region_of(p) -> RegionTag:
     return RegionTag.REGION_2
 
 
-def _saturating_input(p: CanonicalParams) -> PureState:
+def _classified(p) -> tuple[RegionTag, list[float]]:
+    """Region tag of ``p`` and its eigenphases, read once as Python floats."""
+    p = _require_canonical(p)
+    return region_of(p), np.asarray(p.lambdas).tolist()
+
+
+def _saturating_input(lam: list[float]) -> PureState:
     """Product input that a ``ONE_EBIT`` gate maps to a maximally entangled one.
 
-    With barycentric weights w of zero over a triangle of z_j = exp(-2i
-    lambda_j), b_j = sqrt(w_j) exp(-i lambda_j) has concurrence
-    |sum_j w_j z_j| = 0 and its image sum_j w_j = 1.  Collinear triangles
-    through zero are rank deficient, hence least squares.
+    With barycentric weights w of zero over points z_j = exp(-2i lambda_j),
+    b_j = sqrt(w_j) exp(-i lambda_j) has concurrence |sum_j w_j z_j| = 0 and
+    its image sum_j w_j = 1.  Over a triangle (i, j, k) the weights are
+    (X[j,k], X[k,i], X[i,j]) / D, from the cross products X[i,j] =
+    Im(conj(z_i) z_j) = sin 2(lambda_i - lambda_j) and their sum D; the
+    triangle with the largest smallest weight is taken.  No triangle holds
+    zero when all z_j lie on one line through 0 (every D is 0, as on CNOT
+    and DCNOT) or zero sits on, or a rounding error outside, the hull's
+    edge; then the chord nearest 0 gets weights 1/2, 1/2, since a chord is
+    nearest 0 at its midpoint, at distance |cos(lambda_i - lambda_j)|.
+
+    Each gap keeps its rounding error to first order, so that the small
+    products of a thin triangle keep their relative precision.
     """
-    lam = np.asarray(p.lambdas)
-    z = np.exp(-2j * lam)
+    cross, chords = {}, {}
+    for i, j in _PAIRS:
+        gap = lam[i] - lam[j]
+        back = gap - lam[i]
+        err = (lam[i] - (gap - back)) - (lam[j] + back)  # gap + err is exact
+        s, c = math.sin(gap), math.cos(gap)
+        s, c = s + err * c, c - err * s
+        cross[i, j], chords[i, j] = 2.0 * s * c, abs(c)  # abs(c) = |z_i + z_j|/2
     fits = []
-    for tri in _TRIANGLES:
-        a = np.vstack([z[tri].real, z[tri].imag, np.ones(3)])
-        w = np.linalg.lstsq(a, _ORIGIN_WEIGHTS, rcond=None)[0]
-        solved = bool(np.allclose(a @ w, _ORIGIN_WEIGHTS, rtol=0.0, atol=1e-12))
-        fits.append((solved, float(w.min()), tri, w))
-    _, _, tri, w = max(fits, key=lambda fit: fit[:2])
-    weights = np.zeros(4)
-    weights[tri] = np.clip(w, 0.0, None)
-    b = np.sqrt(weights / weights.sum()) * np.exp(-1j * lam)
+    for i, j, k in itertools.combinations(range(4), 3):
+        x = (cross[j, k], -cross[i, k], cross[i, j])
+        d = sum(x)
+        if d != 0.0:
+            w = tuple(v / d for v in x)
+            fits.append((min(w), (i, j, k), w))
+    low, tri, w = max(fits, default=(-1.0, (), ()))
+    if low < 0.0:
+        tri, w = min(chords, key=chords.get), (0.5, 0.5)
+    b = np.zeros(4, dtype=complex)
+    for j, wj in zip(tri, w):
+        b[j] = cmath.rect(math.sqrt(wj), -lam[j])
     return PureState(BELL_BASIS @ b)
 
 
-def _widest_pair(p: CanonicalParams) -> tuple[int, int, float]:
+def _widest_pair(lam: list[float]) -> tuple[int, int, float]:
     """Magic-basis pair (j, k) whose gap lambda_k - lambda_j has the largest
     |sine|, with that gap reduced modulo pi into [-pi/2, pi/2].
 
@@ -127,10 +151,10 @@ def _widest_pair(p: CanonicalParams) -> tuple[int, int, float]:
     of +-pi exactly 0, so a zero-gain gate reports exactly 0 rather than the
     rounding residue sin(pi) ~ 1.2e-16.
     """
-    lam = p.lambdas
-    j, k = max(_PAIRS, key=lambda jk: abs(np.sin(lam[jk[1]] - lam[jk[0]])))
+    sines = [abs(math.sin(lam[k] - lam[j])) for j, k in _PAIRS]
+    j, k = _PAIRS[sines.index(max(sines))]
     gap = lam[k] - lam[j]
-    return j, k, gap - np.pi * np.round(gap / np.pi)
+    return j, k, gap - math.pi * round(gap / math.pi)
 
 
 def _mixture(j: int, k: int, f: float) -> PureState:
@@ -144,13 +168,12 @@ def capacity_c2(p) -> AnalyticCapacity:
     Over the pair mixture the gain is cos^2(f + Delta) - cos^2(f) =
     -sin(2f + Delta) sin(Delta), largest at 2f + Delta = -sign(sin Delta) pi/2.
     """
-    p = _require_canonical(p)
-    region = region_of(p)
+    region, lam = _classified(p)
     if region is RegionTag.ONE_EBIT:
-        return AnalyticCapacity(1.0, region, _saturating_input(p), 0.0)
-    j, k, delta = _widest_pair(p)
-    value = float(abs(np.sin(delta)))
-    f = -(np.copysign(np.pi / 2, np.sin(delta)) + delta) / 2
+        return AnalyticCapacity(1.0, region, _saturating_input(lam), 0.0)
+    j, k, delta = _widest_pair(lam)
+    value = abs(math.sin(delta))
+    f = -(math.copysign(math.pi / 2, delta) + delta) / 2
     return AnalyticCapacity(value, region, _mixture(j, k, f), (1.0 - value) / 2.0)
 
 
@@ -163,20 +186,14 @@ def capacity_concurrence(p) -> AnalyticCapacity:
     regime, where results carry ``extrapolated=True`` and are backed by
     numerical checks only.
     """
-    p = _require_canonical(p)
-    region = region_of(p)
+    region, lam = _classified(p)
     if region is RegionTag.ONE_EBIT:
-        value, state = 1.0, _saturating_input(p)
+        value, state = 1.0, _saturating_input(lam)
     else:
-        j, k, delta = _widest_pair(p)
-        value, state = float(abs(np.sin(delta))), _mixture(j, k, np.pi / 2)
-    return AnalyticCapacity(
-        value,
-        region,
-        state,
-        0.0,
-        extrapolated=region is RegionTag.REGION_2,
-    )
+        j, k, delta = _widest_pair(lam)
+        value, state = abs(math.sin(delta)), _mixture(j, k, math.pi / 2)
+    extrapolated = region is RegionTag.REGION_2
+    return AnalyticCapacity(value, region, state, 0.0, extrapolated=extrapolated)
 
 
 def capacity_linear_entropy(p) -> AnalyticCapacity:
@@ -209,38 +226,53 @@ def _mixture_entropy(f):
     return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(np.where(q > 0.0, q, 1.0))
 
 
+# E(|cos f|) on the grid, the same for every gate.
+_GRID_ENTROPY = _mixture_entropy(_PHASE_GRID)
+
+
 def _mixture_entropy_slope(f: float) -> float:
-    """d/df of ``_mixture_entropy``: sign(sin f) cos f log2(q / (1 - q)) / 2."""
-    q = _small_weight(f)
+    """d/df of ``_mixture_entropy`` at one float: sign(sin f) cos f
+    log2(q / (1 - q)) / 2, with q the ``_small_weight``."""
+    s, c = math.sin(f), math.cos(f)
+    q = c * c / (2.0 * (1.0 + abs(s)))
     if q == 0.0:
         return 0.0
-    return float(np.sign(np.sin(f)) * np.cos(f) * np.log2(q / (1.0 - q)) / 2.0)
+    return (c if s > 0.0 else -c) * math.log2(q / (1.0 - q)) / 2.0
 
 
 def _entropy_phase(delta: float) -> float:
     """Mixing phase f maximizing E(|cos(f + delta)|) - E(|cos f|).
 
-    Bisection on the sign of the derivative solves the stationarity condition
-    to floating-point resolution inside the grid bracket.  A gain flat to
-    rounding has no sign change, and the best grid point is returned.
+    The best grid point's neighbours bracket the root of the derivative,
+    which Illinois regula falsi narrows to floating-point resolution: the
+    slope kept at an end that stays is halved, and a step that would leave
+    the bracket bisects it instead.  A gain flat to rounding has no sign
+    change, and the best grid point is returned.
     """
-    gains = _mixture_entropy(_PHASE_GRID + delta) - _mixture_entropy(_PHASE_GRID)
+    gains = _mixture_entropy(_PHASE_GRID + delta) - _GRID_ENTROPY
     best = float(_PHASE_GRID[int(np.argmax(gains))])
 
     def slope(f: float) -> float:
         return _mixture_entropy_slope(f + delta) - _mixture_entropy_slope(f)
 
-    lo, hi = best - _PHASE_GRID[1], best + _PHASE_GRID[1]
-    if not slope(lo) > 0.0 > slope(hi):
+    a, b = best - _PHASE_STEP, best + _PHASE_STEP
+    s_a, s_b = slope(a), slope(b)
+    if not s_a > 0.0 > s_b:
         return best
-    mid = (lo + hi) / 2
-    while lo < mid < hi:
-        if slope(mid) > 0.0:
-            lo = mid
+    while True:
+        f = b - s_b * (b - a) / (s_b - s_a)
+        if not min(a, b) < f < max(a, b):
+            f = (a + b) / 2
+            if not min(a, b) < f < max(a, b):
+                return f
+        s = slope(f)
+        if s == 0.0:
+            return f
+        if s * s_b < 0.0:
+            a, s_a = b, s_b
         else:
-            hi = mid
-        mid = (lo + hi) / 2
-    return mid
+            s_a /= 2.0
+        b, s_b = f, s
 
 
 def capacity_entropy_no_ancilla(p) -> AnalyticCapacity:
@@ -250,11 +282,10 @@ def capacity_entropy_no_ancilla(p) -> AnalyticCapacity:
     Otherwise the optimum is the pair mixture whose phase solves the
     transcendental stationarity condition of E(|cos(f + Delta)|) - E(|cos f|).
     """
-    p = _require_canonical(p)
-    region = region_of(p)
+    region, lam = _classified(p)
     if region is RegionTag.ONE_EBIT:
-        return AnalyticCapacity(1.0, region, _saturating_input(p), 0.0)
-    j, k, delta = _widest_pair(p)
+        return AnalyticCapacity(1.0, region, _saturating_input(lam), 0.0)
+    j, k, delta = _widest_pair(lam)
     f = _entropy_phase(delta)
     initial = float(_mixture_entropy(f))
     value = float(_mixture_entropy(f + delta)) - initial

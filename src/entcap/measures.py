@@ -64,7 +64,8 @@ def entanglement_batch(
 # With their gradients the kernels return each row's entanglement E with
 # dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
 # psi: the optimizer projects that direction out, because every objective
-# depends on its parameters only through normalized states.
+# depends on its parameters only through normalized states.  A gradient-only
+# caller passes ``_with_value=False`` to ``_cut_terms``, whose E is then None.
 
 
 def _flip_terms(rows: np.ndarray, kind: MeasureKind, _value_only=False):
@@ -86,7 +87,14 @@ def _flip_terms(rows: np.ndarray, kind: MeasureKind, _value_only=False):
     return value, grad
 
 
-def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, _value_only=False):
+def _cut_terms(
+    rows: np.ndarray,
+    kind: MeasureKind,
+    dim_a,
+    dim_b,
+    _value_only=False,
+    _with_value=True,
+):
     """Linear entropy or entropy of rows across the cut, from the smaller
     Gram matrix K, clamped at 0 against roundoff below it.
 
@@ -101,10 +109,12 @@ def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, _value_only=Fa
     gram = t @ t_dag if left else t_dag @ t
     if kind is MeasureKind.LINEAR_ENTROPY:
         value = np.maximum(1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real, 0.0)
-    elif kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
+    elif kind is not MeasureKind.ENTROPY_OF_ENTANGLEMENT:
+        raise UnsupportedMeasureError(f"{kind!r} is not a measure across a cut")
+    elif _with_value or _value_only:
         value = spectrum_entropy_bits(np.linalg.eigvalsh(gram))
     else:
-        raise UnsupportedMeasureError(f"{kind!r} is not a measure across a cut")
+        value = None
     if _value_only:
         return value
     if kind is MeasureKind.LINEAR_ENTROPY:

@@ -310,25 +310,29 @@ class _CutObjective:
             return np.zeros_like(ef), ef
         return self._measured(states), ef
 
-    def _kernel(self, states: np.ndarray):
+    def _kernel(self, states: np.ndarray, with_value: bool):
         """The measure of every state with its derivative in conj(psi),
-        through the kernel's flat rows."""
+        through the kernel's flat rows; an entropy's is None without
+        ``with_value``."""
         flat = states.reshape(-1, self.dim)
         if self.measure in CONCURRENCE_KINDS:
             value, grad = _flip_terms(flat, self.measure)
         else:
-            value, grad = _cut_terms(flat, *self.cut)
-        return value.reshape(states.shape[:-1]), grad.reshape(states.shape)
+            # Positional: the row counters that wrap the kernels forward no keywords.
+            value, grad = _cut_terms(flat, *self.cut, False, with_value)
+        if value is not None:
+            value = value.reshape(states.shape[:-1])
+        return value, grad.reshape(states.shape)
 
-    def terms(self, states: np.ndarray):
+    def terms(self, states: np.ndarray, with_value: bool = True):
         """The input and output terms of each state: each is an
         entanglement with its derivative in conj(psi), the output's that of
         U psi pulled back through U^dagger.  A product row's input term is 0."""
-        value, grad = self._kernel(self.evolve(states))
+        value, grad = self._kernel(self.evolve(states), with_value)
         out = value, self.evolve(grad, self.u_dag)
         if self.product:
             return (0.0, 0.0), out
-        return self._kernel(states), out
+        return self._kernel(states, with_value), out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.entanglements(self._states(raw)[0])
@@ -337,7 +341,7 @@ class _CutObjective:
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         """Gradient of ``values`` at each parameter row, shaped like ``raw``."""
         states, pull = self._states(raw)
-        (_, grad_in), (_, grad_out) = self.terms(states)
+        (_, grad_in), (_, grad_out) = self.terms(states, with_value=False)
         return pull(grad_out - grad_in)
 
 

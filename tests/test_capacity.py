@@ -12,6 +12,7 @@ from entcap import capacity as capacity_module
 from entcap.canonical import CanonicalParams, bell_coefficients, decompose
 from entcap.capacity import (
     RegionTag,
+    _mixture_entropy,
     capacity_c2,
     capacity_concurrence,
     capacity_entropy_no_ancilla,
@@ -64,20 +65,34 @@ def test_region_accepts_plain_triples():
 
 @pytest.mark.parametrize(
     "alpha",
-    [(QUARTER_PI, 0, 0), (QUARTER_PI, QUARTER_PI, 0), (np.pi / 8, np.pi / 8, np.pi / 8)],
-    ids=["cnot", "dcnot", "sqrt-swap"],
+    [
+        (QUARTER_PI, 0, 0),
+        (QUARTER_PI, QUARTER_PI, 0),
+        (np.pi / 8, np.pi / 8, np.pi / 8),
+        (QUARTER_PI, QUARTER_PI - 1e-13, 3e-14),
+    ],
+    ids=["cnot", "dcnot", "sqrt-swap", "near-dcnot"],
 )
 def test_dressed_boundary_gates_saturate(alpha):
-    # These classes lie on a region boundary; the rounding of a dressed
-    # gate's decomposition must not move them off OneEbit.
+    # These classes lie on a region boundary, or within 1e-13 of one; the
+    # rounding of a dressed gate's decomposition must not move them off
+    # OneEbit.
     u = build_canonical_unitary(alpha)
     for seed in range(300):
         rng = make_rng(seed)
         va, vb = haar_random_local_unitary(rng)
         wa, wb = haar_random_local_unitary(rng)
-        result = capacity_c2(decompose(np.kron(va, vb) @ u @ np.kron(wa, wb)))
+        p = decompose(np.kron(va, vb) @ u @ np.kron(wa, wb))
+        result = capacity_c2(p)
         assert result.region is RegionTag.ONE_EBIT, seed
         assert result.value == 1.0, seed
+        # Every z_j = exp(-2i lambda_j) lies on, or within 1e-13 of, one line
+        # through 0: the input is still product, and the gate maps it to one
+        # e-bit.
+        state = result.optimal_state
+        assert concurrence(state) <= 1e-14, seed
+        output = PureState(build_canonical_unitary(p) @ state.amplitudes)
+        assert abs(concurrence(output) - 1.0) <= 1e-14, seed
 
 
 def test_c2_branch_values():
@@ -152,6 +167,47 @@ def test_entropy_no_ancilla_branches():
     # boundary point saturates from both sides
     edge = capacity_entropy_no_ancilla((np.pi / 8, np.pi / 8, 0.0))
     assert edge.value == 1.0
+
+
+def _bisection_entropy_phase(delta):
+    """Reference phase: the best of a 257-point grid, then bisection on the
+    sign of the gain's derivative, evaluated on numpy scalars."""
+    grid = np.linspace(0.0, np.pi, 257)
+    gains = _mixture_entropy(grid + delta) - _mixture_entropy(grid)
+    best = float(grid[int(np.argmax(gains))])
+
+    def entropy_slope(f):
+        q = np.cos(f) ** 2 / (2.0 * (1.0 + np.abs(np.sin(f))))
+        if q == 0.0:
+            return 0.0
+        return float(np.sign(np.sin(f)) * np.cos(f) * np.log2(q / (1.0 - q)) / 2.0)
+
+    def slope(f):
+        return entropy_slope(f + delta) - entropy_slope(f)
+
+    lo, hi = best - grid[1], best + grid[1]
+    if not slope(lo) > 0.0 > slope(hi):
+        return best
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return mid
+
+
+def test_entropy_phase_matches_the_bisection_reference():
+    def gain(f, delta):
+        return float(_mixture_entropy(f + delta)) - float(_mixture_entropy(f))
+
+    # Gaps in (-pi/2, pi/2], the range of the reduced eigenphase gap.
+    deltas = np.pi / 2 - make_rng(23).uniform(0.0, np.pi, 2000)
+    for delta in [0.0, 1e-12, -1e-12, np.pi / 2, -np.pi / 2, *deltas]:
+        want = gain(_bisection_entropy_phase(delta), delta)
+        have = gain(capacity_module._entropy_phase(float(delta)), delta)
+        assert abs(have - want) <= 1e-15, delta
 
 
 def test_entropy_no_ancilla_matches_unrestricted_search():

@@ -214,6 +214,15 @@ def test_capacities_invariant_under_local_unitaries_and_conjugation(
                 assert have.region is want.region
 
 
+def _assert_saturating_input(alpha):
+    """The input of a saturating gate is product, and the gate maps it to
+    one e-bit."""
+    state = capacity_c2(alpha).optimal_state
+    assert concurrence(state) <= 1e-14
+    output = PureState(build_canonical_unitary(alpha) @ state.amplitudes)
+    assert abs(concurrence(output) - 1.0) <= 1e-14
+
+
 @FEW
 @given(u=UNIT, w=UNIT, z=UNIT, sign=st.sampled_from([1.0, -1.0]))
 def test_region_tags_on_region_boundaries(u, w, z, sign):
@@ -227,6 +236,7 @@ def test_region_tags_on_region_boundaries(u, w, z, sign):
     for capacity in CAPACITIES:
         assert capacity((a1, a2, a3)).region is RegionTag.ONE_EBIT
     assert capacity_c2((a1, a2, a3)).value == 1.0
+    _assert_saturating_input((a1, a2, a3))
     # Just below the boundary: lower a1, or a2 when a1 has no room above it.
     below = (a1 - step, a2, a3) if a1 - step >= a2 else (a1, a2 - step, a3)
     below = (below[0], below[1], np.clip(below[2], -below[1], below[1]))
@@ -240,6 +250,7 @@ def test_region_tags_on_region_boundaries(u, w, z, sign):
     for capacity in CAPACITIES:
         assert capacity((a1, a2, sign * a3)).region is RegionTag.ONE_EBIT
     assert capacity_c2((a1, a2, sign * a3)).value == 1.0
+    _assert_saturating_input((a1, a2, sign * a3))
     # Just above it: raise |a3|, or a2 (and a1 with it) when a3 has no room.
     if a3 + step <= a2:
         above = (a1, a2, sign * (a3 + step))
