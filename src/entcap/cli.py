@@ -138,7 +138,6 @@ def _config_from(args):
     overrides = dict(
         restarts=args.restarts,
         master_seed=args.seed,
-        objective_tolerance=args.tol,
         max_iterations=getattr(args, "max_iterations", None),
     )
     given = {k: v for k, v in overrides.items() if v is not None}
@@ -289,9 +288,6 @@ def _add_optimizer_flags(sub) -> None:
     sub.add_argument("--anc-b", type=int, choices=(0, 1, 2), default=0)
     sub.add_argument("--restarts", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument(
-        "--tol", type=float, default=None, help="objective tolerance"
-    )
     sub.add_argument(
         "--product-start",
         action="store_true",

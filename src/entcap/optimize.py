@@ -18,10 +18,13 @@ certificate and the polish's Hessians.
 All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call for the rows still climbing and one ``values``
 call per ladder slice that some of them need, while every row keeps its own
-step, line search, stall window and exit.  With at most 64 parameters the
-polish then takes every row whose gradient at its exit is measurable, all
-in one batch (one batch of Hessians and one batched ``eigh`` per round),
-and the certificates of whole restarts share batched ``values`` calls.
+step, line search, stall window and exit.  One rule says when a row is
+done, in the climb and the polish alike: its analytic tangent norm is below
+half the certificate's bound, so a row that reaches an optimum certifies
+there.  With at most 64 parameters the polish then takes every row not yet
+done, all in one batch (one batch of Hessians and one batched ``eigh`` per
+round), and the certificates of whole restarts share batched ``values``
+calls.
 
 A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
@@ -76,6 +79,9 @@ _GRAD_STEP = 1e-6
 _STEP_CAP = 0.2
 _ARMIJO_SLOPE = 1e-4
 _CONVERGED_GRAD_NORM = 1e-6
+# A row is done, in the climb and the polish, once its analytic tangent norm
+# is below this: the margin lets the central-difference certificate hold.
+_EXIT_GRAD_NORM = 0.5 * _CONVERGED_GRAD_NORM
 _STALL_WINDOW = 20
 _STEP_TOLERANCE = 1e-10
 # The climb's ladder: 8 rungs, then halving rungs past _STEP_TOLERANCE.
@@ -107,11 +113,11 @@ _MULTIPLIER_ROUNDS = 12
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start ascent."""
+    """Knobs for the multi-start ascent: restarts per search, the iteration
+    cap of each restart's climb, and the seed of restart 0."""
 
     restarts: int = 32
     max_iterations: int = 5000
-    objective_tolerance: float = 1e-8
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -119,8 +125,6 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.objective_tolerance <= 0:
-            raise ValueError("objective tolerance must be positive")
 
 
 class FamilyKind(enum.Enum):
@@ -443,7 +447,8 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     the gradient's sign says nothing.  A round makes one ``gradients`` call,
     one for the rows' Hessians (2n rows each), one batched ``eigh`` and one
     ``values`` call per rung that some row tries; a row leaves when its
-    gradient is below the threshold or no rung improves it.
+    gradient is below ``_EXIT_GRAD_NORM``, the climb's own exit, or no rung
+    improves it.
     """
     raw, value = raw.copy(), value.copy()
     rows, rounds = np.arange(raw.shape[0]), 0
@@ -451,7 +456,7 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         r, v, rounds = raw[rows], value[rows], rounds + 1
         grad = _tangent(objective.take(rows).gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
-        live = norm >= _CONVERGED_GRAD_NORM
+        live = norm >= _EXIT_GRAD_NORM
         rows, r, v, grad, norm = rows[live], r[live], v[live], grad[live], norm[live]
         if not rows.size:
             break
@@ -495,52 +500,49 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
 
     Every row keeps its own curvature-matched step, Armijo ladder, stall
     window and iteration count, and leaves the batch where an ascent of that
-    row alone would stop: at a zero gradient, when no step is acceptable, at
-    a stall, at the hard floor or at ``max_iterations``.  With n <=
-    _POLISH_MAX_PARAMS a row also leaves when its gradient norm has not
-    halved over the stall window: such a crawl can gain more than the
-    tolerance in every window for thousands of iterations, and the polish
-    ends it in a few rounds.  The line search is ``_best_rungs`` on slices
-    of ``_LADDER`` from the row's step: the secant rung, the rest of the
-    first 8 rungs, then the halving rungs, each slice for the rows the
-    earlier ones missed and cut where no such row has a rung above
-    ``_STEP_TOLERANCE`` left.  An iteration makes one ``gradients`` call and
-    one ``values`` call per slice that some row needs, on the objective
-    restricted to the climbing rows; returns (raw, value).
+    row alone would stop: when its tangent gradient norm is below
+    ``_EXIT_GRAD_NORM``, when no step is acceptable or at
+    ``max_iterations``.  With n <= _POLISH_MAX_PARAMS a row also leaves when
+    its gradient norm has not halved over the stall window: such a crawl
+    can last thousands of iterations, and the polish ends it in a few
+    rounds.  The line search is ``_best_rungs`` on slices of ``_LADDER``
+    from the row's step: the secant rung, the rest of the first 8 rungs,
+    then the halving rungs, each slice for the rows the earlier ones missed
+    and cut where no such row has a rung above ``_STEP_TOLERANCE`` left.  An
+    iteration makes one ``gradients`` call and one ``values`` call per slice
+    that some row needs, on the objective restricted to the climbing rows;
+    returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
     k, n = raw.shape
     # The climbing rows, compacted: entry i of each array below belongs to
     # restart rows[i].  Every one of them has moved on every iteration so
-    # far, so the window of past values is a deque of whole arrays.
+    # far, so the stall window is a deque of whole arrays.
     rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
-    history = collections.deque([v], maxlen=_STALL_WINDOW + 1)
     norms = collections.deque(maxlen=_STALL_WINDOW)
 
     def leave(stop):
         """Write the rows in ``stop`` back and drop them; returns the mask
         of the rows that keep climbing."""
-        nonlocal rows, r, v, step, prev_r, prev_g, climbing, history, norms
+        nonlocal rows, r, v, step, prev_r, prev_g, climbing, norms
         raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
         keep = ~stop
         rows, r, v, step, prev_r, prev_g = (
             a[keep] for a in (rows, r, v, step, prev_r, prev_g)
         )
         climbing = climbing.take(keep)
-        history, norms = (
-            collections.deque((h[keep] for h in d), d.maxlen) for d in (history, norms)
-        )
+        norms = collections.deque((h[keep] for h in norms), _STALL_WINDOW)
         return keep
 
     for iteration in range(cfg.max_iterations):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
-        flat = norm < 1e-13
-        if flat.any():
-            keep = leave(flat)
+        done = norm < _EXIT_GRAD_NORM
+        if done.any():
+            keep = leave(done)
             grad, norm = grad[keep], norm[keep]
             if not rows.size:
                 break
@@ -584,22 +586,14 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
             if not rows.size:
                 break
         r, v = new_r, new_v
-        history.append(v)
-        norms.append(norm)
-        if len(history) > _STALL_WINDOW:
-            window_gain = v - history[0]
-            stalled = window_gain < cfg.objective_tolerance
-            if n > _POLISH_MAX_PARAMS:
-                # Too many parameters for a Hessian solve: keep crawling
-                # while measurable progress remains, with a hard floor.
-                floor = max(1e-13, 1e-5 * cfg.objective_tolerance)
-                stalled &= (norm < _CONVERGED_GRAD_NORM) | (window_gain < floor)
-            else:
-                stalled |= norms[-1] > 0.5 * norms[0]
-            if stalled.any():
-                leave(stalled)
-                if not rows.size:
-                    break
+        if n <= _POLISH_MAX_PARAMS:
+            norms.append(norm)
+            if len(norms) == _STALL_WINDOW:
+                stalled = norms[-1] > 0.5 * norms[0]
+                if stalled.any():
+                    leave(stalled)
+                    if not rows.size:
+                        break
     # Rows still climbing stop at the iteration cap.
     leave(np.ones(rows.size, dtype=bool))
     return raw, value
@@ -855,8 +849,11 @@ def _sweep_block(task) -> list[SweepRow]:
 
 
 def _pool_size(workers: int, rows: int) -> int:
-    """Processes for a sweep: never more than its rows or the machine's CPUs."""
-    return max(1, min(workers, rows, os.cpu_count() or 1))
+    """Processes for a sweep: never more than its rows or the CPUs this
+    process may run on (all the machine's where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(workers, rows, cpus))
 
 
 def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):

@@ -244,6 +244,12 @@ def test_exit_codes(cnot_file, tmp_path, capsys):
     # Flags that the closed-form command does not take.
     for flag in ("--numeric-fallback", "--restarts=4", "--product-start", "--anc-a=1"):
         assert main(["capacity", "--matrix", cnot_file, "--measure", "c2", flag]) == 2
+    # The climb has no objective tolerance to set.
+    for command in (
+        ["optimize", "--matrix", cnot_file],
+        ["sweep", "--family", "cnot", "--steps", "2"],
+    ):
+        assert main([*command, "--measure", "c2", "--tol", "1e-8"]) == 2
     assert main(["not-a-command"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()

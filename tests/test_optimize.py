@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(objective_tolerance=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
 
 
@@ -378,9 +376,8 @@ class _RowCounter:
 
 
 def test_crawling_restarts_are_handed_to_the_polish():
-    # Near this optimum the gradient shrinks sublinearly while every stall
-    # window still gains more than the tolerance; climbing on until the
-    # stall test fires cost 25,470 gradient rows over these 8 restarts.
+    # Near this optimum the gradient shrinks sublinearly while every step
+    # still gains, so without the hand-off to the polish the climb crawls.
     u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
     objective = _RowCounter(
         optimize._CutObjective(u, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 0, 0)
@@ -417,7 +414,7 @@ def test_polish_leaves_converged_rows_bit_identical():
     rough = optimize._climb(objective, raw0[3:], OptimizerConfig(max_iterations=3))
     raw, value = (np.concatenate(pair) for pair in zip(done, rough))
     grad = optimize._tangent(objective.gradients(raw), raw)
-    small = np.sqrt(np.sum(grad**2, axis=1)) < optimize._CONVERGED_GRAD_NORM
+    small = np.sqrt(np.sum(grad**2, axis=1)) < optimize._EXIT_GRAD_NORM
     assert small.any() and not small.all()
     # A converged row leaves before any rung is tried: even a claimed value
     # below the one it holds, which any step would beat, does not move it.
@@ -607,13 +604,24 @@ def test_sweep_row_without_a_certified_restart_is_an_error_row(monkeypatch):
 
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(monkeypatch):
-    # Only the computed size is checked; no process is started.
-    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+    # Only the computed size is checked; no process is started.  The CPUs
+    # that count are those the process may run on, not all the machine's.
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(
+        optimize.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
     assert optimize._pool_size(1, 75) == 1
     assert optimize._pool_size(3, 75) == 3
     assert optimize._pool_size(10_000, 75) == 4
     assert optimize._pool_size(10_000, 2) == 2
     assert optimize._pool_size(0, 75) == 1
+    # Pinned to one CPU (as under taskset -c 0), two workers get one process.
+    monkeypatch.setattr(optimize.os, "sched_getaffinity", lambda pid: {0})
+    assert optimize._pool_size(2, 75) == 1
+    # Where the platform has no affinity, the machine's count bounds the pool.
+    monkeypatch.delattr(optimize.os, "sched_getaffinity")
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+    assert optimize._pool_size(10_000, 75) == 4
     monkeypatch.setattr(optimize.os, "cpu_count", lambda: None)
     assert optimize._pool_size(8, 75) == 1
 
