@@ -300,7 +300,7 @@ def delta_c2_bell(b, p) -> float:
     if b.shape != (4,):
         raise DimensionMismatchError(f"expected 4 coefficients, got shape {b.shape}")
     norm_sq = float(np.sum(np.abs(b) ** 2))
-    if abs(norm_sq - 1.0) > 1e-9:
+    if not abs(norm_sq - 1.0) <= 1e-9:
         raise NotNormalizedError(f"coefficient norm^2 is {norm_sq:.12g}, expected 1")
     squares = b * b
     phases = np.exp(2j * np.asarray(p.lambdas))

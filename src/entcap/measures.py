@@ -132,7 +132,7 @@ def _as_state(psi) -> PureState:
     if isinstance(psi, PureState):
         return psi
     amps = np.asarray(psi, dtype=complex)
-    n = int(round(math.log2(amps.size))) if amps.ndim == 1 else -1
+    n = int(round(math.log2(amps.size))) if amps.ndim == 1 and amps.size else -1
     if n < 1 or 2**n != amps.size:
         raise DimensionMismatchError(
             f"amplitude vector of shape {amps.shape} is not a qubit register"

@@ -21,10 +21,10 @@ call per ladder slice that some of them need, while every row keeps its own
 step, line search, stall window and exit.  One rule says when a row is
 done, in the climb and the polish alike: its analytic tangent norm is below
 half the certificate's bound, so a row that reaches an optimum certifies
-there.  With at most 64 parameters the polish then takes every row not yet
-done, all in one batch (one batch of Hessians and one batched ``eigh`` per
-round), and the certificates of whole restarts share batched ``values``
-calls.
+there.  With at most 64 parameters a row whose norm has not fallen fourfold
+over its stall window leaves the climb too, and the polish then takes every
+row not yet done in one batch (one batch of Hessians and one batched ``eigh``
+per round); the certificates of whole restarts share batched ``values`` calls.
 
 A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
@@ -48,7 +48,6 @@ import enum
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +82,8 @@ _CONVERGED_GRAD_NORM = 1e-6
 # is below this: the margin lets the central-difference certificate hold.
 _EXIT_GRAD_NORM = 0.5 * _CONVERGED_GRAD_NORM
 _STALL_WINDOW = 20
+# Fourfold cut per stall window (n <= 64): a x0.95-a-step crawl halves its norm.
+_STALL_CUT = 0.25
 _STEP_TOLERANCE = 1e-10
 # The climb's ladder: 8 rungs, then halving rungs past _STEP_TOLERANCE.
 _ASCENT_RUNGS = 8
@@ -501,17 +502,16 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     Every row keeps its own curvature-matched step, Armijo ladder, stall
     window and iteration count, and leaves the batch where an ascent of that
     row alone would stop: when its tangent gradient norm is below
-    ``_EXIT_GRAD_NORM``, when no step is acceptable or at
-    ``max_iterations``.  With n <= _POLISH_MAX_PARAMS a row also leaves when
-    its gradient norm has not halved over the stall window: such a crawl
-    can last thousands of iterations, and the polish ends it in a few
-    rounds.  The line search is ``_best_rungs`` on slices of ``_LADDER``
-    from the row's step: the secant rung, the rest of the first 8 rungs,
-    then the halving rungs, each slice for the rows the earlier ones missed
-    and cut where no such row has a rung above ``_STEP_TOLERANCE`` left.  An
-    iteration makes one ``gradients`` call and one ``values`` call per slice
-    that some row needs, on the objective restricted to the climbing rows;
-    returns (raw, value).
+    ``_EXIT_GRAD_NORM``, when no step is acceptable or at ``max_iterations``.
+    With n <= _POLISH_MAX_PARAMS a row also leaves unless its gradient norm
+    fell by ``_STALL_CUT`` (fourfold) over the stall window: a crawl lasts
+    hundreds of iterations, and the polish ends it in a few rounds.  The line
+    search is ``_best_rungs`` on slices of ``_LADDER`` from the row's step:
+    the secant rung, the rest of the first 8 rungs, then the halving rungs,
+    each slice for the rows the earlier ones missed and cut where no such row
+    has a rung above ``_STEP_TOLERANCE`` left.  An iteration makes one
+    ``gradients`` call and one ``values`` call per slice that some row needs,
+    on the objective restricted to the climbing rows; returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -589,7 +589,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         if n <= _POLISH_MAX_PARAMS:
             norms.append(norm)
             if len(norms) == _STALL_WINDOW:
-                stalled = norms[-1] > 0.5 * norms[0]
+                stalled = norms[-1] > _STALL_CUT * norms[0]
                 if stalled.any():
                     leave(stalled)
                     if not rows.size:
@@ -856,6 +856,14 @@ def _pool_size(workers: int, rows: int) -> int:
     return max(1, min(workers, rows, cpus))
 
 
+def __getattr__(name):
+    """The process pool, imported on first use: it loads multiprocessing."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     """Capacity of each (label, gate builder, builder argument) row.
 
@@ -879,7 +887,9 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     ]
     if size == 1:
         return _sweep_block(tasks[0])
-    with ProcessPoolExecutor(max_workers=size) as pool:
+    name = "ProcessPoolExecutor"  # one set on the module wins
+    executor = globals().get(name) or __getattr__(name)
+    with executor(max_workers=size) as pool:
         return [row for block in pool.map(_sweep_block, tasks) for row in block]
 
 

@@ -130,7 +130,7 @@ class PureState:
                 f"{len(labels)} qubit labels need 2**{len(labels)} amplitudes, "
                 f"got shape {amps.shape}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
             raise NotNormalizedError("amplitudes must have unit norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

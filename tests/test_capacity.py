@@ -309,15 +309,24 @@ def test_capacity_module_imports_no_optimizer():
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
-def test_importing_entcap_does_not_load_scipy():
+def _loaded_by_importing_entcap(module: str) -> bool:
     src = str(Path(entcap.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, entcap; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, entcap; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True, env=env, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_entcap_does_not_load_scipy():
+    assert not _loaded_by_importing_entcap("scipy")
+
+
+def test_importing_entcap_does_not_load_multiprocessing():
+    # Only a sweep with more than one worker needs the process pool.
+    assert not _loaded_by_importing_entcap("multiprocessing")
 
 
 def test_delta_c2_matches_direct_evolution():
@@ -343,6 +352,8 @@ def test_delta_c2_input_guards():
         delta_c2_bell(np.ones(3) / np.sqrt(3), p)
     with pytest.raises(NotNormalizedError):
         delta_c2_bell(np.ones(4), p)
+    with pytest.raises(NotNormalizedError):
+        delta_c2_bell(np.array([np.nan, 0, 0, 0]), p)
 
 
 def test_delta_c2_upper_bounded_by_branch_value():

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from entcap.errors import DimensionMismatchError, UnsupportedMeasureError
+from entcap.errors import (
+    DimensionMismatchError,
+    NotNormalizedError,
+    UnsupportedMeasureError,
+)
 from entcap.measures import (
     CONCURRENCE_KINDS,
     MeasureKind,
@@ -123,6 +127,13 @@ def test_entropy_from_concurrence_values_and_guards():
 def test_evaluate_accepts_raw_amplitudes():
     amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert evaluate(MeasureKind.CONCURRENCE, amps) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluate_rejects_empty_and_nan_vectors():
+    with pytest.raises(DimensionMismatchError):
+        evaluate(MeasureKind.CONCURRENCE, np.array([], dtype=complex))
+    with pytest.raises(NotNormalizedError):
+        evaluate(MeasureKind.ENTROPY_OF_ENTANGLEMENT, np.array([np.nan, 0, 0, 0]))
 
 
 def test_measure_kind_round_trips_flag_strings():

@@ -9,6 +9,7 @@ from entcap.canonical import decompose, invariants_match, local_invariants
 from entcap.errors import (
     ConvergenceError,
     DimensionMismatchError,
+    NotNormalizedError,
     UnsupportedMeasureError,
 )
 from entcap.measures import MeasureKind, binary_entropy
@@ -56,6 +57,8 @@ def test_parameterize_state_basics():
     assert np.allclose(psi.amplitudes, doubled.amplitudes)
     with pytest.raises(ValueError):
         parameterize_state(np.zeros(8))
+    with pytest.raises(NotNormalizedError), np.errstate(invalid="ignore"):
+        parameterize_state(np.full(8, np.nan))
     for shape in [(7,), (2, 4), (6,)]:
         # odd size, not a vector, three amplitudes
         with pytest.raises(DimensionMismatchError):
@@ -189,6 +192,40 @@ def test_benchmark_wrap_points_exist():
         "ProcessPoolExecutor",
     ):
         assert callable(getattr(optimize, name, None)), name
+    with pytest.raises(AttributeError):
+        optimize.NoSuchName
+
+
+def test_sweep_uses_the_pool_set_on_the_module(monkeypatch):
+    # The pool is imported on first use, yet a pool set on the module (as
+    # the benchmark's tracer sets one) is the one a sweep opens.
+    sizes = []
+
+    class SerialPool:
+        """A stand-in process pool that maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(optimize, "_pool_size", lambda workers, rows: 2)
+    grid = [0.1, QUARTER_PI]
+    rows = family_sweep(
+        FamilyKind.CNOT, grid, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, workers=2
+    )
+    assert sizes == [2]
+    assert rows == family_sweep(
+        FamilyKind.CNOT, grid, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
+    )
 
 
 class _DistanceTo:
@@ -386,6 +423,24 @@ def test_crawling_restarts_are_handed_to_the_polish():
     _, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
     assert objective.rows <= 10_000
     assert np.all(value >= 1 - 1e-7)
+
+
+def test_linearly_crawling_restarts_are_handed_to_the_polish():
+    # On this gate most c2 restarts cut their gradient norm by about x0.95
+    # per step, which halves it over the stall window; only a fourfold cut
+    # per window sends them to the polish early.  That takes 38 gradients
+    # calls, where a halving test takes 245.
+    a1, a2 = np.pi / 16, 3 * np.pi / 64
+    u = build_canonical_unitary((a1, a2, a2))
+    objective = _RowCounter(
+        optimize._CutObjective(u, MeasureKind.CONCURRENCE_SQUARED, 0, 0)
+    )
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+    raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+    assert sum(name == "gradients" for name, _ in objective.calls) <= 60
+    certificate = optimize._certificate_norms(objective.objective, raw)
+    assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
+    assert abs(value.max() - np.sin(2 * (a1 + a2))) <= 1e-12
 
 
 def test_line_search_tries_the_secant_rung_alone_first():

@@ -49,6 +49,9 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0, 0, 0]), ("A", "C"))
     with pytest.raises(DimensionMismatchError):
         PureState(np.array([1.0, 0, 0, 0]), ("A", "A", "B"))
+    # A NaN norm is not within the tolerance of 1, so it fails the check.
+    with pytest.raises(NotNormalizedError):
+        PureState(np.array([np.nan, 0, 0, 0]))
 
 
 def test_pure_state_amplitudes_read_only():
