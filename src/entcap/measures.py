@@ -7,9 +7,9 @@ variant 2R with range [0, 1] is exposed alongside it.
 
 Each measure has one kernel over rows of states cut between dim_a and
 dim_b: ``_flip_terms`` for the concurrences, ``_cut_terms`` (clamped at 0)
-for the linear entropy and the entropy.  A kernel returns the values with
-their closed-form gradients, or, as ``entanglement_batch``, the same value
-bits alone; the scalar functions feed ``entanglement_batch`` one row.
+for the linear entropy and the entropy.  A kernel returns the values, as
+``entanglement_batch``, or their closed-form gradients, never both; the
+scalar functions feed ``entanglement_batch`` one row.
 """
 from __future__ import annotations
 
@@ -57,18 +57,17 @@ def entanglement_batch(
     states = np.atleast_2d(states)
     if kind in CONCURRENCE_KINDS:
         require_qubit_pair(kind, dim_a, dim_b)
-        return _flip_terms(states, kind, _value_only=True)
-    return _cut_terms(states, kind, dim_a, dim_b, _value_only=True)
+        return _flip_terms(states, kind)
+    return _cut_terms(states, kind, dim_a, dim_b)
 
 
-# With their gradients the kernels return each row's entanglement E with
-# dE/d(conj psi), the Wirtinger derivative, possibly plus a real multiple of
+# With ``gradient`` the kernels return each row's dE/d(conj psi), the
+# Wirtinger derivative of its entanglement E, possibly plus a real multiple of
 # psi: the optimizer projects that direction out, because every objective
-# depends on its parameters only through normalized states.  A gradient-only
-# caller passes ``_with_value=False`` to ``_cut_terms``, whose E is then None.
+# depends on its parameters only through normalized states.
 
 
-def _flip_terms(rows: np.ndarray, kind: MeasureKind, _value_only=False):
+def _flip_terms(rows: np.ndarray, kind: MeasureKind, gradient=False):
     """Concurrence |psi^T (sigma_y x sigma_y) psi| of two-qubit rows, or its
     square (Wootters, PRL 80, 2245)."""
     if kind not in CONCURRENCE_KINDS:
@@ -77,24 +76,16 @@ def _flip_terms(rows: np.ndarray, kind: MeasureKind, _value_only=False):
     c = np.einsum("mi,mi->m", w, rows)
     conc = np.abs(c)
     squared = kind is MeasureKind.CONCURRENCE_SQUARED
-    value = conc**2 if squared else conc
-    if _value_only:
-        return value
+    if not gradient:
+        return conc**2 if squared else conc
     grad = 2.0 * c[:, None] * w.conj()
     if not squared:
         # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
         grad *= np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)[:, None]
-    return value, grad
+    return grad
 
 
-def _cut_terms(
-    rows: np.ndarray,
-    kind: MeasureKind,
-    dim_a,
-    dim_b,
-    _value_only=False,
-    _with_value=True,
-):
+def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, gradient=False):
     """Linear entropy or entropy of rows across the cut, from the smaller
     Gram matrix K, clamped at 0 against roundoff below it.
 
@@ -108,24 +99,19 @@ def _cut_terms(
     left = dim_a <= dim_b
     gram = t @ t_dag if left else t_dag @ t
     if kind is MeasureKind.LINEAR_ENTROPY:
-        value = np.maximum(1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real, 0.0)
+        if not gradient:
+            return np.maximum(1.0 - np.einsum("mab,mab->m", gram, gram.conj()).real, 0.0)
+        factor = -2.0 * gram
     elif kind is not MeasureKind.ENTROPY_OF_ENTANGLEMENT:
         raise UnsupportedMeasureError(f"{kind!r} is not a measure across a cut")
-    elif _with_value or _value_only:
-        value = spectrum_entropy_bits(np.linalg.eigvalsh(gram))
+    elif not gradient:
+        return spectrum_entropy_bits(np.linalg.eigvalsh(gram))
     else:
-        value = None
-    if _value_only:
-        return value
-    if kind is MeasureKind.LINEAR_ENTROPY:
-        factor = -2.0 * gram
-    else:
-        # eigh for the log's eigenvectors; the value above keeps eigvalsh's
-        # spectrum, which differs from eigh's in the last bits.
+        # eigh for the log's eigenvectors; values take eigvalsh's spectrum.
         w, vecs = np.linalg.eigh(gram)
         factor = -(vecs * log2_spectrum(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     grad = factor @ t if left else t @ factor
-    return value, grad.reshape(m, -1)
+    return grad.reshape(m, -1)
 
 
 def _as_state(psi) -> PureState:

@@ -6,25 +6,24 @@ middle pair and the A|B cut splits the basis index in half.  Real parameter
 vectors map to states through ``parameterize_state`` (interleaved real and
 imaginary parts, then normalization); the search is projected gradient
 ascent on the unit sphere of parameters; a product start's row holds the
-state's two factors instead.  One line-search rule serves the climb and the
-polish: the best Armijo-acceptable rung of a ladder wins, and no step at or
-below ``_STEP_TOLERANCE``.  The climb tries a row's secant step alone, then
-the rest of 8 rungs halving from it, then halvings down to that tolerance,
-each for the rows the earlier ones missed.  Every measure takes one path:
+state's two factors instead.  One line search, ``_tiered_rungs``, serves
+the climb and the polish: a row tries tiers of step ladders in order until
+one moves it, the best Armijo-acceptable rung of a tier wins, and no step
+is at or below ``_STEP_TOLERANCE``.  Every measure takes one path:
 the output term is the measure of U psi, its closed-form gradient pulled
 back through U^dagger; central differences serve only the convergence
 certificate and the polish's Hessians.
 
 All restarts of one search climb in lockstep as one block: each iteration
-makes one ``gradients`` call for the rows still climbing and one ``values``
-call per ladder slice that some of them need, while every row keeps its own
-step, line search, stall window and exit.  One rule says when a row is
-done, in the climb and the polish alike: its analytic tangent norm is below
-half the certificate's bound, so a row that reaches an optimum certifies
-there.  With at most 64 parameters a row whose norm has not fallen fourfold
-over its stall window leaves the climb too, and the polish then takes every
-row not yet done in one batch (one batch of Hessians and one batched ``eigh``
-per round); the certificates of whole restarts share batched ``values`` calls.
+makes one ``gradients`` call and one line search for the rows still
+climbing, while every row keeps its own step, stall window and exit.  One
+rule says when a row is done, in the climb and the polish alike: its
+analytic tangent norm is below half the certificate's bound, so a row that
+reaches an optimum certifies there.  With at most 64 parameters a row whose
+norm has not fallen fourfold over its stall window leaves the climb too, and
+the polish then takes every row not yet done in one batch (one batch of
+Hessians and one batched ``eigh`` per round); the certificates of whole
+restarts share batched ``values`` calls.
 
 A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
@@ -56,6 +55,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     EntcapError,
+    NotNormalizedError,
     ZeroCapacityError,
 )
 from .measures import (
@@ -188,6 +188,8 @@ def parameterize_state(
     raw = np.ascontiguousarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size < 2 or raw.size % 2:
         raise DimensionMismatchError(f"parameter vector of shape {raw.shape} invalid")
+    if not np.isfinite(raw).all():
+        raise NotNormalizedError("parameter vector has a non-finite entry")
     if _row_norms(raw[None, :])[0, 0] == 0.0:
         raise ValueError("zero parameter vector has no direction")
     # PureState checks that the amplitudes fill a qubit register.
@@ -315,29 +317,21 @@ class _CutObjective:
             return np.zeros_like(ef), ef
         return self._measured(states), ef
 
-    def _kernel(self, states: np.ndarray, with_value: bool):
-        """The measure of every state with its derivative in conj(psi),
-        through the kernel's flat rows; an entropy's is None without
-        ``with_value``."""
+    def _kernel(self, states: np.ndarray):
+        """The derivative in conj(psi) of the measure of every state, through
+        the kernel's flat rows."""
         flat = states.reshape(-1, self.dim)
+        # Positional: the row counters that wrap the kernels forward no keywords.
         if self.measure in CONCURRENCE_KINDS:
-            value, grad = _flip_terms(flat, self.measure)
-        else:
-            # Positional: the row counters that wrap the kernels forward no keywords.
-            value, grad = _cut_terms(flat, *self.cut, False, with_value)
-        if value is not None:
-            value = value.reshape(states.shape[:-1])
-        return value, grad.reshape(states.shape)
+            return _flip_terms(flat, self.measure, True).reshape(states.shape)
+        return _cut_terms(flat, *self.cut, True).reshape(states.shape)
 
-    def terms(self, states: np.ndarray, with_value: bool = True):
-        """The input and output terms of each state: each is an
-        entanglement with its derivative in conj(psi), the output's that of
-        U psi pulled back through U^dagger.  A product row's input term is 0."""
-        value, grad = self._kernel(self.evolve(states), with_value)
-        out = value, self.evolve(grad, self.u_dag)
-        if self.product:
-            return (0.0, 0.0), out
-        return self._kernel(states, with_value), out
+    def terms(self, states: np.ndarray):
+        """The derivatives in conj(psi) of the input and output terms of each
+        state, the output's that of E(U psi) pulled back through U^dagger.  A
+        product row's input term is 0."""
+        out = self.evolve(self._kernel(self.evolve(states)), self.u_dag)
+        return 0.0 if self.product else self._kernel(states), out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.entanglements(self._states(raw)[0])
@@ -346,7 +340,7 @@ class _CutObjective:
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         """Gradient of ``values`` at each parameter row, shaped like ``raw``."""
         states, pull = self._states(raw)
-        (_, grad_in), (_, grad_out) = self.terms(states, with_value=False)
+        grad_in, grad_out = self.terms(states)
         return pull(grad_out - grad_in)
 
 
@@ -365,7 +359,7 @@ class _PenalizedObjective(_CutObjective):
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         states, pull = self._states(raw)
-        (e0, grad_in), (ef, grad_out) = self.terms(states)
+        (e0, ef), (grad_in, grad_out) = self.entanglements(states), self.terms(states)
         weight = 2.0 * self.penalty * np.maximum(0.0, self.target - (ef - e0))
         return pull(weight[..., None] * (grad_out - grad_in) - grad_in)
 
@@ -436,6 +430,42 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     return accepted.any(axis=1), trials[rows, best], trial_vals[rows, best]
 
 
+def _tiered_rungs(objective, raw, value, tiers):
+    """The line search of the climb and the polish: ``_best_rungs`` on each
+    of the tiers (tried, direction, slope, steps, rungs, margin) in turn.
+
+    A row tries a tier where ``tried`` holds and no earlier tier moved it;
+    its ladder is its step times the tier's falling rungs, cut past the last
+    rung where a trying row has a step above ``_STEP_TOLERANCE``, so a tier
+    with no such row makes no ``values`` call.  Returns (moved, raw, value);
+    a row no tier moved keeps its own.
+    """
+    moved = np.zeros(len(raw), dtype=bool)
+    for tried, direction, slope, steps, rungs, margin in tiers:
+        rows = np.flatnonzero(tried & ~moved)
+        if not rows.size:
+            continue
+        # Every row tries the tier on views, or the trying rows on copies.
+        every = rows.size == len(raw)
+        r, v, d, s, step = (
+            a if every else a.take(rows, axis=0)
+            for a in (raw, value, direction, slope, steps)
+        )
+        cut = np.count_nonzero(step.max() * rungs > _STEP_TOLERANCE)
+        if not cut:
+            continue
+        found, new_r, new_v = _best_rungs(
+            objective if every else objective.take(rows), r, v, d, s,
+            step[:, None] * rungs[:cut], margin,
+        )
+        if every and found.all():  # no row is left for a later tier
+            return found, new_r, new_v
+        rows = rows[found]
+        raw, value = raw.copy(), value.copy()
+        raw[rows], value[rows], moved[rows] = new_r[found], new_v[found], True
+    return moved, raw, value
+
+
 def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     """Second-order cleanup of a (k, n) block of rows in lockstep.
 
@@ -447,9 +477,8 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     keeping any gain above roundoff: at the entropy's kink at product states
     the gradient's sign says nothing.  A round makes one ``gradients`` call,
     one for the rows' Hessians (2n rows each), one batched ``eigh`` and one
-    ``values`` call per rung that some row tries; a row leaves when its
-    gradient is below ``_EXIT_GRAD_NORM``, the climb's own exit, or no rung
-    improves it.
+    ``_tiered_rungs`` over those three tiers; a row leaves when its gradient
+    is below ``_EXIT_GRAD_NORM``, the climb's own exit, or no tier moves it.
     """
     raw, value = raw.copy(), value.copy()
     rows, rounds = np.arange(raw.shape[0]), 0
@@ -476,22 +505,13 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         # Eigenvalues ascend, so the first columns are the most negative axes.
         axes = np.concatenate([grad[:, None], eigenvectors[:, :, :3].swapaxes(1, 2)], 1)
         probes = np.stack([axes, -axes], axis=2).reshape(rows.size, -1, r.shape[1])
-        ladder = np.broadcast_to(_POLISH_LADDER, (rows.size, _POLISH_LADDER.size))
-        moved = np.zeros(rows.size, dtype=bool)
-        for tried, direction, slope, margin in (
-            (keep.any(axis=1) & (newton_slope > 0.0), newton, newton_slope, 0.0),
-            (True, grad, norm**2, 0.0),
-            (True, probes, np.zeros(rows.size), 1e-14),
-        ):
-            tried = tried & ~moved
-            if tried.any():
-                found, new_r, new_v = _best_rungs(
-                    polishing.take(tried), r[tried], v[tried], direction[tried],
-                    slope[tried], ladder[tried], margin,
-                )
-                at = np.flatnonzero(tried)[found]
-                r[at], v[at], moved[at] = new_r[found], new_v[found], True
-        raw[rows], value[rows] = r, v
+        ones = np.ones(rows.size)
+        moved, raw[rows], value[rows] = _tiered_rungs(polishing, r, v, (
+            (keep.any(axis=1) & (newton_slope > 0.0), newton, newton_slope, ones,
+             _POLISH_LADDER, 0.0),
+            (True, grad, norm**2, ones, _POLISH_LADDER, 0.0),
+            (True, probes, np.zeros(rows.size), ones, _POLISH_LADDER, 1e-14),
+        ))
         rows = rows[moved]
     return raw, value
 
@@ -506,12 +526,10 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     With n <= _POLISH_MAX_PARAMS a row also leaves unless its gradient norm
     fell by ``_STALL_CUT`` (fourfold) over the stall window: a crawl lasts
     hundreds of iterations, and the polish ends it in a few rounds.  The line
-    search is ``_best_rungs`` on slices of ``_LADDER`` from the row's step:
-    the secant rung, the rest of the first 8 rungs, then the halving rungs,
-    each slice for the rows the earlier ones missed and cut where no such row
-    has a rung above ``_STEP_TOLERANCE`` left.  An iteration makes one
-    ``gradients`` call and one ``values`` call per slice that some row needs,
-    on the objective restricted to the climbing rows; returns (raw, value).
+    search is ``_tiered_rungs`` on ``_LADDER`` from the row's step.  An
+    iteration makes one ``gradients`` call, the line search's ``values``
+    calls and one exit, on the objective restricted to the climbing rows;
+    returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -523,29 +541,9 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
     norms = collections.deque(maxlen=_STALL_WINDOW)
-
-    def leave(stop):
-        """Write the rows in ``stop`` back and drop them; returns the mask
-        of the rows that keep climbing."""
-        nonlocal rows, r, v, step, prev_r, prev_g, climbing, norms
-        raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
-        keep = ~stop
-        rows, r, v, step, prev_r, prev_g = (
-            a[keep] for a in (rows, r, v, step, prev_r, prev_g)
-        )
-        climbing = climbing.take(keep)
-        norms = collections.deque((h[keep] for h in norms), _STALL_WINDOW)
-        return keep
-
     for iteration in range(cfg.max_iterations):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
-        done = norm < _EXIT_GRAD_NORM
-        if done.any():
-            keep = leave(done)
-            grad, norm = grad[keep], norm[keep]
-            if not rows.size:
-                break
         if iteration:
             # Secant (Barzilai-Borwein) step: match the curvature seen along
             # the last move so ill-conditioned ridges do not force a crawl.
@@ -559,43 +557,31 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
             secant = (bb > 0) & (bb < np.inf)
             step[secant] = np.minimum(bb[secant], _STEP_CAP)
         prev_r, prev_g = r, grad
-        # Along grad itself the directional derivative is its squared norm.
-        slope = norm**2
-        # The secant step alone first: the best of all 8 rungs costs 8
-        # trials a row, and the secant step is usually acceptable.
-        found, new_r, new_v = _best_rungs(
-            climbing, r, v, grad, slope, step[:, None] * _LADDER[:1]
-        )
-        for start, stop in ((1, _ASCENT_RUNGS), (_ASCENT_RUNGS, _LADDER.size)):
-            miss = ~found
-            if not miss.any():
-                break
-            # Every row's rungs fall along the ladder, so past the largest
-            # step's last rung above the tolerance no row has one either.
-            stop = start + np.count_nonzero(
-                step[miss].max() * _LADDER[start:stop] > _STEP_TOLERANCE
-            )
-            if stop > start:
-                found[miss], new_r[miss], new_v[miss] = _best_rungs(
-                    climbing.take(miss), r[miss], v[miss], grad[miss], slope[miss],
-                    step[miss, None] * _LADDER[start:stop],
-                )
-        if not found.all():
-            keep = leave(~found)
-            norm, new_r, new_v = norm[keep], new_r[keep], new_v[keep]
-            if not rows.size:
-                break
-        r, v = new_r, new_v
+        # Done rows try no rung.  The secant rung alone first: the best of
+        # all 8 rungs costs 8 trials a row, and the secant step is usually
+        # acceptable.  Along grad the directional derivative is its norm^2.
+        live, slope = ~(norm < _EXIT_GRAD_NORM), norm**2
+        moved, r, v = _tiered_rungs(climbing, r, v, [
+            (live, grad, slope, step, rungs, 0.0)
+            for rungs in (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:])
+        ])
+        stop = ~moved
         if n <= _POLISH_MAX_PARAMS:
             norms.append(norm)
             if len(norms) == _STALL_WINDOW:
-                stalled = norms[-1] > _STALL_CUT * norms[0]
-                if stalled.any():
-                    leave(stalled)
-                    if not rows.size:
-                        break
+                stop |= norms[-1] > _STALL_CUT * norms[0]
+        if stop.any():
+            raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
+            keep = ~stop
+            rows, r, v, step, prev_r, prev_g = (
+                a[keep] for a in (rows, r, v, step, prev_r, prev_g)
+            )
+            climbing = climbing.take(keep)
+            norms = collections.deque((h[keep] for h in norms), _STALL_WINDOW)
+            if not rows.size:
+                break
     # Rows still climbing stop at the iteration cap.
-    leave(np.ones(rows.size, dtype=bool))
+    raw[rows], value[rows] = r, v
     return raw, value
 
 

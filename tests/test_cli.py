@@ -273,6 +273,20 @@ def test_optimize_domain_error_exit(cnot_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_validation_errors_exit_1(cnot_file, capsys):
+    optimize = ["optimize", "--matrix", cnot_file, "--measure", "c2"]
+    sweep = ["sweep", "--family", "cnot", "--measure", "c2"]
+    for argv, error in [
+        ([*optimize, "--max-iterations", "0"], "error: need at least one iteration"),
+        ([*optimize, "--restarts", "0"], "error: need at least one restart"),
+        ([*sweep, "--restarts", "0"], "error: need at least one restart"),
+    ]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert error in captured.err, argv
+        assert captured.out == "", argv
+
+
 def test_sweep_csv_contract(capsys):
     rc = main(
         [

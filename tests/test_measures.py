@@ -164,8 +164,15 @@ def _kernel_rows(dim_a, dim_b, seed=0):
 def _kernel(kind, dims):
     """The kernel that computes ``kind``, on rows cut as ``dims``."""
     if kind in CONCURRENCE_KINDS:
-        return lambda rows, **mode: _flip_terms(rows, kind, **mode)
-    return lambda rows, **mode: _cut_terms(rows, kind, *dims, **mode)
+        return lambda rows, *mode: _flip_terms(rows, kind, *mode)
+    return lambda rows, *mode: _cut_terms(rows, kind, *dims, *mode)
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the call ran {name}")
+
+    monkeypatch.setattr(np.linalg, name, forbidden)
 
 
 @pytest.mark.parametrize(
@@ -178,28 +185,28 @@ def _kernel(kind, dims):
     ],
 )
 def test_value_only_mode_is_the_value_half_of_gradient_mode(monkeypatch, kind, dims):
+    # A kernel returns a value or a gradient, never both: each mode computes
+    # only its own half, and the value mode is the one value path.
     rows = _kernel_rows(*dims)
     kernel = _kernel(kind, dims)
-    value, grad = kernel(rows)
-    assert grad.shape == rows.shape
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("a value-only call ran eigh")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with monkeypatch.context() as patch:
+        _forbid(patch, "eigvalsh")
+        assert kernel(rows, True).shape == rows.shape
+    _forbid(monkeypatch, "eigh")
+    value = kernel(rows)
+    assert value.shape == rows.shape[:1]
     # Bit for bit, signed zeros included.
-    assert kernel(rows, _value_only=True).tobytes() == value.tobytes()
     assert entanglement_batch(rows, kind, *dims).tobytes() == value.tobytes()
 
 
 def test_kernels_reject_measures_they_do_not_compute():
     rows = _kernel_rows(2, 2)
-    for mode in ({}, {"_value_only": True}):
+    for gradient in (False, True):
         for kind in (*CUT_KINDS, "bogus"):
             with pytest.raises(UnsupportedMeasureError):
-                _flip_terms(rows, kind, **mode)
+                _flip_terms(rows, kind, gradient)
         for kind in (*CONCURRENCE_KINDS, "bogus"):
             with pytest.raises(UnsupportedMeasureError):
-                _cut_terms(rows, kind, 2, 2, **mode)
+                _cut_terms(rows, kind, 2, 2, gradient)
     with pytest.raises(UnsupportedMeasureError):
         entanglement_batch(rows, "bogus")

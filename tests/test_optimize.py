@@ -57,8 +57,12 @@ def test_parameterize_state_basics():
     assert np.allclose(psi.amplitudes, doubled.amplitudes)
     with pytest.raises(ValueError):
         parameterize_state(np.zeros(8))
-    with pytest.raises(NotNormalizedError), np.errstate(invalid="ignore"):
-        parameterize_state(np.full(8, np.nan))
+    # Non-finite parameters fail before any arithmetic can warn on them.
+    for bad in (np.nan, np.inf, -np.inf):
+        raw[1] = bad
+        with pytest.raises(NotNormalizedError), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parameterize_state(raw)
     for shape in [(7,), (2, 4), (6,)]:
         # odd size, not a vector, three amplitudes
         with pytest.raises(DimensionMismatchError):
@@ -690,6 +694,30 @@ def test_family_sweep_worker_count_is_invisible():
         FamilyKind.DCNOT, grid, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, workers=2
     )
     assert serial == pooled
+
+
+@pytest.mark.parametrize(
+    "kind, bound",
+    [
+        # A controlled gate runs by LOCC on 1 ebit (Eisert, Jacobs,
+        # Papadopoulos & Plenio, PRA 62, 052317), and exp(-i a XX) is one.
+        (FamilyKind.CNOT, 1.0),
+        # Any two-qubit gate runs on 2 ebits: teleport a qubit there and back.
+        (FamilyKind.DCNOT, 2.0),
+        (FamilyKind.SWAP, 2.0),
+    ],
+    ids=["cnot", "dcnot", "swap"],
+)
+def test_entropy_capacity_with_ancillas_is_within_the_ebit_cost(kind, bound):
+    # A gain above what running the gate costs in ebits is a program fault,
+    # such as a sign error in the input term.
+    rows = family_sweep(
+        kind, np.linspace(0.0, QUARTER_PI, 9), MeasureKind.ENTROPY_OF_ENTANGLEMENT,
+        1, 1, cfg=OptimizerConfig(restarts=8),
+    )
+    for row in rows:
+        assert row.capacity <= bound + 1e-9, row
+        assert row.converged_restarts >= 1, row
 
 
 def test_custom_sweep_uses_leading_angle():
