@@ -39,6 +39,9 @@ class MeasureKind(enum.Enum):
 
 
 CONCURRENCE_KINDS = (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED)
+# Polynomials in the amplitudes, so kink-free: the optimizer's polish tries
+# their full Newton step alone before its ladder.
+SMOOTH_KINDS = (MeasureKind.CONCURRENCE_SQUARED, MeasureKind.LINEAR_ENTROPY)
 
 
 def require_qubit_pair(kind: MeasureKind, dim_a: int, dim_b: int) -> None:

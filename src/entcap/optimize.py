@@ -9,10 +9,11 @@ ascent on the unit sphere of parameters; a product start's row holds the
 state's two factors instead.  One line search, ``_tiered_rungs``, serves
 the climb and the polish: a row tries tiers of step ladders in order until
 one moves it, the best Armijo-acceptable rung of a tier wins, and no step
-is at or below ``_STEP_TOLERANCE``.  Every measure takes one path:
-the output term is the measure of U psi, its closed-form gradient pulled
-back through U^dagger; central differences serve only the convergence
-certificate and the polish's Hessians.
+is at or below ``_STEP_TOLERANCE``; on the smooth measures (c2, linear
+entropy) the polish's first tier is the full Newton step alone.  Every
+measure takes one path: the output term is the measure of U psi, its
+closed-form gradient pulled back through U^dagger; central differences serve
+only the convergence certificate and the polish's Hessians.
 
 All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call and one line search for the rows still
@@ -41,8 +42,6 @@ sweep rows are scheduled.
 """
 from __future__ import annotations
 
-import collections
-import copy
 import enum
 import math
 import os
@@ -60,6 +59,7 @@ from .errors import (
 )
 from .measures import (
     CONCURRENCE_KINDS,
+    SMOOTH_KINDS,
     MeasureKind,
     _cut_terms,
     _flip_terms,
@@ -267,12 +267,16 @@ class _CutObjective:
         self.n_raw = 2 * (self.dim_a + self.dim_b if product else self.dim)
 
     def take(self, rows):
-        """The objective on the rows ``rows`` (an index array, mask or
+        """The objective on the rows ``rows`` (an index array or list, or a
         slice) of its stack; a single shared gate serves any rows."""
         if len(self.u) == 1:
             return self
-        part = copy.copy(self)
-        part.u, part.u_dag = self.u[rows], self.u_dag[rows]
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__)
+        part.u, part.u_dag = (
+            a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
+            for a in (self.u, self.u_dag)
+        )
         return part
 
     def _states(self, raw: np.ndarray):
@@ -311,11 +315,11 @@ class _CutObjective:
         return flat.reshape(states.shape[:-1])
 
     def entanglements(self, states: np.ndarray):
-        """(E(psi), E(U psi)) of each state."""
-        ef = self._measured(self.evolve(states))
+        """(E(psi), E(U psi)) of each state, from one kernel call."""
         if self.product:
+            ef = self._measured(self.evolve(states))
             return np.zeros_like(ef), ef
-        return self._measured(states), ef
+        return tuple(self._measured(np.stack([states, self.evolve(states)])))
 
     def _kernel(self, states: np.ndarray):
         """The derivative in conj(psi) of the measure of every state, through
@@ -328,10 +332,13 @@ class _CutObjective:
 
     def terms(self, states: np.ndarray):
         """The derivatives in conj(psi) of the input and output terms of each
-        state, the output's that of E(U psi) pulled back through U^dagger.  A
-        product row's input term is 0."""
-        out = self.evolve(self._kernel(self.evolve(states)), self.u_dag)
-        return 0.0 if self.product else self._kernel(states), out
+        state, the output's that of E(U psi) pulled back through U^dagger,
+        from one kernel call.  A product row's input term is 0."""
+        if self.product:
+            grad_in, grad_out = 0.0, self._kernel(self.evolve(states))
+        else:
+            grad_in, grad_out = self._kernel(np.stack([states, self.evolve(states)]))
+        return grad_in, self.evolve(grad_out, self.u_dag)
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.entanglements(self._states(raw)[0])
@@ -421,10 +428,12 @@ def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
     trials = trials.reshape(m, -1, n)
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
-    steps = np.tile(ladders, direction.shape[1])
+    steps = ladders if direction.shape[1] == 1 else np.tile(ladders, direction.shape[1])
     accepted = (steps > _STEP_TOLERANCE) & (
         trial_vals >= value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
     )
+    if accepted.shape[1] == 1:  # one trial a row: nothing to choose
+        return accepted[:, 0], trials[:, 0], trial_vals[:, 0]
     best = np.argmax(np.where(accepted, trial_vals, -np.inf), axis=1)
     rows = np.arange(m)
     return accepted.any(axis=1), trials[rows, best], trial_vals[rows, best]
@@ -471,23 +480,26 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
 
     Saturating optima sit on nearly flat ridges where gradient steps crawl;
     damped Newton steps restricted to the negative-curvature subspace contract
-    the gradient below the convergence threshold.  When the quadratic model
-    misjudges the scale (sharp apexes), plain gradient rungs take over, then
-    probes along the gradient and the three most negative curvature axes,
-    keeping any gain above roundoff: at the entropy's kink at product states
-    the gradient's sign says nothing.  A round makes one ``gradients`` call,
-    one for the rows' Hessians (2n rows each), one batched ``eigh`` and one
-    ``_tiered_rungs`` over those three tiers; a row leaves when its gradient
+    the gradient below the convergence threshold.  On a smooth measure
+    (``SMOOTH_KINDS``) a row tries the full Newton step alone first, as the
+    climb tries its secant rung; then, and on every other measure first, the
+    best rung of the Newton ladder.  When the quadratic model misjudges the
+    scale (sharp apexes), plain gradient rungs take over, then probes along
+    the gradient and the three most negative curvature axes, keeping any
+    gain above roundoff: at the entropy's kink at product states the
+    gradient's sign says nothing.  A round makes one ``gradients`` call, one
+    for the rows' Hessians (2n rows each), one batched ``eigh`` and one
+    ``_tiered_rungs`` over those four tiers; a row leaves when its gradient
     is below ``_EXIT_GRAD_NORM``, the climb's own exit, or no tier moves it.
     """
     raw, value = raw.copy(), value.copy()
     rows, rounds = np.arange(raw.shape[0]), 0
     while rows.size and rounds < _POLISH_ROUNDS:
-        r, v, rounds = raw[rows], value[rows], rounds + 1
+        r, v, rounds = raw.take(rows, axis=0), value.take(rows), rounds + 1
         grad = _tangent(objective.take(rows).gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
-        live = norm >= _EXIT_GRAD_NORM
-        rows, r, v, grad, norm = rows[live], r[live], v[live], grad[live], norm[live]
+        live = np.flatnonzero(norm >= _EXIT_GRAD_NORM)
+        rows, r, v, grad, norm = (a.take(live, axis=0) for a in (rows, r, v, grad, norm))
         if not rows.size:
             break
         polishing = objective.take(rows)
@@ -506,9 +518,11 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         axes = np.concatenate([grad[:, None], eigenvectors[:, :, :3].swapaxes(1, 2)], 1)
         probes = np.stack([axes, -axes], axis=2).reshape(rows.size, -1, r.shape[1])
         ones = np.ones(rows.size)
+        newton_ok = keep.any(axis=1) & (newton_slope > 0.0)
+        smooth = newton_ok & (polishing.measure in SMOOTH_KINDS)
         moved, raw[rows], value[rows] = _tiered_rungs(polishing, r, v, (
-            (keep.any(axis=1) & (newton_slope > 0.0), newton, newton_slope, ones,
-             _POLISH_LADDER, 0.0),
+            (smooth, newton, newton_slope, ones, _POLISH_LADDER[:1], 0.0),
+            (newton_ok, newton, newton_slope, ones, _POLISH_LADDER, 0.0),
             (True, grad, norm**2, ones, _POLISH_LADDER, 0.0),
             (True, probes, np.zeros(rows.size), ones, _POLISH_LADDER, 1e-14),
         ))
@@ -536,11 +550,12 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     k, n = raw.shape
     # The climbing rows, compacted: entry i of each array below belongs to
     # restart rows[i].  Every one of them has moved on every iteration so
-    # far, so the stall window is a deque of whole arrays.
+    # far, so the stall window is a ring of whole arrays, one row a step:
+    # the norm of iteration i sits in row i % _STALL_WINDOW.
     rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
-    norms = collections.deque(maxlen=_STALL_WINDOW)
+    norms = np.empty((_STALL_WINDOW, k))
     for iteration in range(cfg.max_iterations):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
@@ -555,7 +570,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
             )
             # bb < inf also fails for NaN.
             secant = (bb > 0) & (bb < np.inf)
-            step[secant] = np.minimum(bb[secant], _STEP_CAP)
+            step = np.where(secant, np.minimum(bb, _STEP_CAP), step)
         prev_r, prev_g = r, grad
         # Done rows try no rung.  The secant rung alone first: the best of
         # all 8 rungs costs 8 trials a row, and the secant step is usually
@@ -567,17 +582,17 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         ])
         stop = ~moved
         if n <= _POLISH_MAX_PARAMS:
-            norms.append(norm)
-            if len(norms) == _STALL_WINDOW:
-                stop |= norms[-1] > _STALL_CUT * norms[0]
+            norms[iteration % _STALL_WINDOW] = norm
+            if iteration + 1 >= _STALL_WINDOW:
+                stop |= norm > _STALL_CUT * norms[(iteration + 1) % _STALL_WINDOW]
         if stop.any():
-            raw[rows[stop]], value[rows[stop]] = r[stop], v[stop]
-            keep = ~stop
+            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+            raw[rows[done]], value[rows[done]] = r.take(done, axis=0), v.take(done)
             rows, r, v, step, prev_r, prev_g = (
-                a[keep] for a in (rows, r, v, step, prev_r, prev_g)
+                a.take(keep, axis=0) for a in (rows, r, v, step, prev_r, prev_g)
             )
             climbing = climbing.take(keep)
-            norms = collections.deque((h[keep] for h in norms), _STALL_WINDOW)
+            norms = norms.take(keep, axis=1)
             if not rows.size:
                 break
     # Rows still climbing stop at the iteration cap.
@@ -619,7 +634,8 @@ def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=Fals
     Each gate gets the restarts seeded master_seed, ..., master_seed + k - 1
     (k = cfg.restarts), so the k starts are drawn once.  Consecutive gates
     form blocks of at most ``_BLOCK_PARAMETERS`` parameters, and of at least
-    one gate.  Returns, per gate, its CapacityResult or the ConvergenceError
+    one gate, whose restarts split into blocks of at least one where they
+    exceed it.  Returns, per gate, its CapacityResult or the ConvergenceError
     of a gate none of whose restarts certified.
     """
     objective = _CutObjective(gates, measure, anc_a, anc_b, product)
@@ -637,11 +653,17 @@ def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=Fals
 
 def _block_results(objective, starts, seeds, cfg: OptimizerConfig) -> list:
     """``_capacities`` of the gates of ``objective`` as one block: the
-    (gates * k, n) rows climb, polish and certify together, and each gate's
-    k rows reduce on their own."""
+    (gates * k, n) rows climb and polish together, in consecutive parts of
+    at most ``_BLOCK_PARAMETERS`` parameters (only one gate's rows split),
+    then certify, and each gate's k rows reduce on their own."""
     count, k = len(objective.u), len(starts)
     objective = objective.take(np.repeat(np.arange(count), k))
-    raw, value = _ascend(objective, np.tile(starts, (count, 1)), cfg)
+    raw0 = np.tile(starts, (count, 1))
+    size = max(1, _BLOCK_PARAMETERS // objective.n_raw)
+    raw, value = (np.concatenate(part) for part in zip(*(
+        _ascend(objective.take(slice(i, i + size)), raw0[i : i + size], cfg)
+        for i in range(0, len(raw0), size)
+    )))
     # A restart converged if its certificate at the exit point holds; a NaN
     # restart neither counts nor wins.
     converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
@@ -860,6 +882,10 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     contiguous chunk of rows as its block.  A restart's result depends only
     on its seed, config and gate, so rows come out the same for any chunking.
     """
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    if not rows:
+        raise ValueError("need at least one grid point")
     cfg = cfg or _default_config(anc_a, anc_b)
     built = [
         (label, _sweep_gate(gate, argument, measure, anc_a, anc_b))

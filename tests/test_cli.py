@@ -287,6 +287,20 @@ def test_config_validation_errors_exit_1(cnot_file, capsys):
         assert captured.out == "", argv
 
 
+def test_sweep_without_workers_or_grid_points_exits_1(capsys):
+    # Neither quietly runs one process nor prints a header-only CSV.
+    sweep = ["sweep", "--family", "cnot", "--measure", "c2", "--restarts", "2"]
+    for argv, error in [
+        ([*sweep, "--workers", "0"], "error: need at least one worker"),
+        ([*sweep, "--workers", "-3"], "error: need at least one worker"),
+        ([*sweep, "--steps", "0"], "error: need at least one grid point"),
+    ]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert error in captured.err, argv
+        assert captured.out == "", argv
+
+
 def test_sweep_csv_contract(capsys):
     rc = main(
         [

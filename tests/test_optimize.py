@@ -6,6 +6,7 @@ import pytest
 
 from entcap import optimize
 from entcap.canonical import decompose, invariants_match, local_invariants
+from entcap.capacity import capacity_entropy_no_ancilla, capacity_linear_entropy
 from entcap.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -398,6 +399,7 @@ class _RowCounter:
 
     def __init__(self, objective, calls=None):
         self.objective, self.n_raw = objective, objective.n_raw
+        self.measure = objective.measure
         self.calls = [] if calls is None else calls
 
     def take(self, rows):
@@ -464,6 +466,45 @@ def test_line_search_tries_the_secant_rung_alone_first():
             assert calls[i + 1] == ("values", calls[i][1]), (i, calls[i : i + 2])
 
 
+@pytest.mark.parametrize(
+    "measure, anc, smooth",
+    [
+        (MeasureKind.CONCURRENCE_SQUARED, (0, 0), True),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (1, 1), False),
+    ],
+    ids=["c2", "entropy-a11"],
+)
+def test_polish_tries_the_full_newton_step_alone_first_on_smooth_measures(
+    measure, anc, smooth
+):
+    # A polish round is one gradients call on its rows, the Hessians' calls
+    # (2n rows per polishing row) and then the line search's values calls.
+    # A smooth measure's first values call has at most one trial per
+    # polishing row; any other measure's tries the whole Newton ladder.
+    objective = _RowCounter(optimize._CutObjective(REGION_1_GATE, measure, *anc))
+    n = objective.n_raw
+    raw0 = np.array([make_rng(s).standard_normal(n) for s in range(4)])
+    raw, value = optimize._climb(objective.objective, raw0, OptimizerConfig(max_iterations=3))
+    optimize._newton_polish(objective, raw, value)
+    # Per round: [gradient rows, Hessian rows, rows of the first values call].
+    rounds, calls = [], objective.calls
+    for i, (name, m) in enumerate(calls):
+        if name == "gradients" and (i == 0 or calls[i - 1][0] == "values"):
+            rounds.append([m, 0, None])
+        elif name == "gradients":
+            rounds[-1][1] += m
+        elif rounds[-1][2] is None:
+            rounds[-1][2] = m
+    polished = [(hessian // (2 * n), first) for _, hessian, first in rounds if first]
+    assert polished
+    ladder = len(optimize._POLISH_LADDER)
+    for polishing, first in polished:
+        if smooth:
+            assert first <= polishing, (polishing, first)
+        else:
+            assert first % ladder == 0 and first <= ladder * polishing, (polishing, first)
+
+
 def test_polish_leaves_converged_rows_bit_identical():
     # A mixed block: rows that certify at their climb's exit, and rows cut
     # short after a few iterations.
@@ -511,8 +552,8 @@ def test_gradients_go_through_the_module_kernels(monkeypatch, measure, kernel):
     monkeypatch.setattr(optimize, kernel, counted)
     objective = optimize._CutObjective(REGION_1_GATE, measure, 0, 0)
     objective.gradients(make_rng(5).standard_normal((3, objective.n_raw)))
-    # The input and the output term of each of the 3 rows.
-    assert rows == [3, 3]
+    # The input and the output term of each of the 3 rows, in one call.
+    assert rows == [6]
 
 
 def test_polish_returns_when_no_row_can_move():
@@ -606,6 +647,17 @@ def test_family_sweep_rows_and_error_capture():
     assert rows[1].error is None
     assert math.isnan(rows[2].capacity)
     assert "outside" in rows[2].error
+
+
+def test_sweep_needs_a_worker_and_a_grid_point():
+    c2 = MeasureKind.CONCURRENCE_SQUARED
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="need at least one worker"):
+            family_sweep(FamilyKind.CNOT, [0.3], c2, cfg=FAST, workers=workers)
+        with pytest.raises(ValueError, match="need at least one worker"):
+            custom_sweep([(0.3, 0.2, 0.1)], c2, cfg=FAST, workers=workers)
+    with pytest.raises(ValueError, match="need at least one grid point"):
+        family_sweep(FamilyKind.CNOT, [], c2, cfg=FAST)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -718,6 +770,65 @@ def test_entropy_capacity_with_ancillas_is_within_the_ebit_cost(kind, bound):
     for row in rows:
         assert row.capacity <= bound + 1e-9, row
         assert row.converged_restarts >= 1, row
+
+
+# Criterion 3's grid: a1 on five angles, a2 = f2 a1 and a3 = f3 a2.
+GRID = [
+    (a1, f2 * a1, f3 * f2 * a1)
+    for a1 in (np.pi / 16, np.pi / 8, 3 * np.pi / 16, 7 * np.pi / 32, QUARTER_PI)
+    for f2 in (0.0, 0.25, 0.5, 0.75, 1.0)
+    for f3 in (0.0, 0.5, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "measure, closed_form",
+    [
+        (MeasureKind.LINEAR_ENTROPY, capacity_linear_entropy),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, capacity_entropy_no_ancilla),
+    ],
+    ids=["linear", "entropy"],
+)
+def test_closed_forms_match_the_search_on_the_grid(measure, closed_form):
+    rows = custom_sweep(GRID, measure, cfg=OptimizerConfig(restarts=8))
+    for triple, row in zip(GRID, rows):
+        assert abs(row.capacity - closed_form(triple).value) <= 1e-9, (triple, row)
+        assert row.converged_restarts >= 1, (triple, row)
+
+
+def test_restarts_split_across_blocks_give_the_unsplit_result(monkeypatch):
+    # One gate's restarts exceed a shrunk block, so they search in parts of
+    # two; the gate blocks of the sweep hold one gate each.
+    u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
+    entropy, c2 = MeasureKind.ENTROPY_OF_ENTANGLEMENT, MeasureKind.CONCURRENCE_SQUARED
+    triples = [(0.3, 0.2, 0.1), (0.7, 0.5, 0.3)]
+    whole = numeric_capacity(u, entropy, 1, 1, cfg=FAST)
+    rows = custom_sweep(triples, c2, cfg=FAST)
+    monkeypatch.setattr(optimize, "_BLOCK_PARAMETERS", 64)
+    split = numeric_capacity(u, entropy, 1, 1, cfg=FAST)
+    assert _outcome(split) == _outcome(whole)
+    assert split.best_restart_seed == whole.best_restart_seed
+    assert np.array_equal(split.optimal_state.amplitudes, whole.optimal_state.amplitudes)
+    monkeypatch.setattr(optimize, "_BLOCK_PARAMETERS", 16)
+    assert custom_sweep(triples, c2, cfg=FAST) == rows
+
+
+@pytest.mark.parametrize("block, most", [(128, 10), (64, 5), (32, 4), (4, 1)])
+def test_ascend_never_holds_more_rows_than_a_block(monkeypatch, block, most):
+    # A block holds at most _BLOCK_PARAMETERS parameters, and at least one
+    # restart when a single one exceeds it (n = 8 for c2).
+    sizes, real = [], optimize._ascend
+
+    def recorded(objective, raw0, cfg):
+        sizes.append(len(raw0))
+        return real(objective, raw0, cfg)
+
+    monkeypatch.setattr(optimize, "_ascend", recorded)
+    monkeypatch.setattr(optimize, "_BLOCK_PARAMETERS", block)
+    custom_sweep([(0.3, 0.2, 0.1), (0.7, 0.5, 0.3)], MeasureKind.CONCURRENCE_SQUARED,
+                 cfg=OptimizerConfig(restarts=5))
+    assert sizes and max(sizes) == most
+    assert sum(sizes) == 2 * 5
 
 
 def test_custom_sweep_uses_leading_angle():
