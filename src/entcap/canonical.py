@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .qcore import (
-    BELL_BASIS,
-    PAULI_YY,
+    BELL_BASIS_DAGGER,
     QUARTER_PI,
     PureState,
     _require_unitary,
@@ -35,6 +34,9 @@ CONJUGATION_TOL = 1e-12
 INVARIANT_ATOL = 1e-8
 
 _PERMS4 = np.array(list(itertools.permutations(range(4))))
+# sigma_y x sigma_y is antidiagonal with signs (-1, 1, 1, -1): conjugating by
+# it reverses rows and columns and flips the sign of these entries.
+_SPIN_FLIP_SIGNS = np.outer([-1, 1, 1, -1], [-1, 1, 1, -1]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class CanonicalParams:
     conjugated: bool = False
 
     def __post_init__(self) -> None:
-        alpha = tuple(float(a) for a in self.alpha)
+        alpha = tuple(map(float, self.alpha))
         if len(alpha) != 3:
             raise DimensionMismatchError("expected three interaction coefficients")
         object.__setattr__(self, "alpha", alpha)
@@ -75,7 +77,8 @@ def u_tilde(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
-    return PAULI_YY @ u.T @ PAULI_YY
+    # PAULI_YY @ u.T @ PAULI_YY exactly; + 0.0 gives its zeros a + sign too.
+    return _SPIN_FLIP_SIGNS * u[::-1, ::-1].T + 0.0
 
 
 def local_invariants(u: np.ndarray) -> np.ndarray:
@@ -115,10 +118,10 @@ def bell_coefficients(psi) -> np.ndarray:
     amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if amps.shape != (4,):
         raise DimensionMismatchError(f"expected 4 amplitudes, got shape {amps.shape}")
-    return BELL_BASIS.conj().T @ amps
+    return BELL_BASIS_DAGGER @ amps
 
 
-def _fold_into_cell(alpha_raw: np.ndarray) -> np.ndarray:
+def _fold_into_cell(alpha_raw) -> tuple[float, float, float]:
     """The triple equivalent to ``alpha_raw`` with pi/4 >= a1 >= a2 >= |a3|.
 
     The moves that preserve the interaction class are shifts of a single
@@ -127,10 +130,9 @@ def _fold_into_cell(alpha_raw: np.ndarray) -> np.ndarray:
     (-pi/4, pi/4], sorting by magnitude orders them, and flipping a3 with
     each of a1 and a2 that is negative leaves a1 >= a2 >= |a3|.
     """
-    w = QUARTER_PI - (QUARTER_PI - alpha_raw) % HALF_PI
-    w = w[np.argsort(-np.abs(w), kind="stable")]
-    signs = np.where(w[:2] < 0, -1.0, 1.0)
-    return np.array([abs(w[0]), abs(w[1]), w[2] * signs[0] * signs[1]])
+    w = [QUARTER_PI - (QUARTER_PI - a) % HALF_PI for a in alpha_raw]
+    w.sort(key=abs, reverse=True)  # stable: ties keep their order
+    return abs(w[0]), abs(w[1]), -w[2] if (w[0] < 0) != (w[1] < 0) else w[2]
 
 
 def decompose(u: np.ndarray) -> CanonicalParams:
@@ -145,8 +147,9 @@ def decompose(u: np.ndarray) -> CanonicalParams:
     ``conjugated`` set if the sign had to be flipped.  On the a1 = pi/4
     face both signs of a3 are one class and ``conjugated`` is False.
     """
-    lam = np.angle(local_invariants(u)[:3]) / 2
-    alpha_raw = 0.5 * np.array([lam[1] + lam[2], lam[0] + lam[2], lam[0] + lam[1]])
-    a1, a2, a3 = _fold_into_cell(alpha_raw)
+    lam = (np.angle(local_invariants(u)[:3]) / 2).tolist()
+    a1, a2, a3 = _fold_into_cell(
+        (0.5 * (lam[1] + lam[2]), 0.5 * (lam[0] + lam[2]), 0.5 * (lam[0] + lam[1]))
+    )
     conjugated = bool(a3 < -CONJUGATION_TOL and a1 < QUARTER_PI - CONJUGATION_TOL)
     return CanonicalParams((a1, a2, abs(a3)), conjugated=conjugated)

@@ -34,9 +34,10 @@ import numpy as np
 
 from .canonical import CanonicalParams
 from .errors import DimensionMismatchError, NotCanonicalError, NotNormalizedError
-from .qcore import BELL_BASIS, QUARTER_PI, PureState
+from .qcore import BELL_BASIS, QUARTER_PI, PureState, lambdas_from_alpha
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
+_TRIANGLES = tuple(itertools.combinations(range(4), 3))
 
 # One period of the mixing phase.  The entropy gain has one maximum per
 # period, so the best grid point's two neighbours bracket it.
@@ -86,20 +87,18 @@ def _require_canonical(p) -> CanonicalParams:
 
 def region_of(p) -> RegionTag:
     """Classify canonical coefficients; saturation wins over the other tags."""
-    p = _require_canonical(p)
-    a1, a2, a3 = p.alpha
-    a3 = abs(a3)
-    if a1 + a2 >= QUARTER_PI - BOUNDARY_TOL and a2 + a3 <= QUARTER_PI + BOUNDARY_TOL:
-        return RegionTag.ONE_EBIT
-    if a1 + a2 < QUARTER_PI:
-        return RegionTag.REGION_1
-    return RegionTag.REGION_2
+    return _classified(p)[0]
 
 
 def _classified(p) -> tuple[RegionTag, list[float]]:
-    """Region tag of ``p`` and its eigenphases, read once as Python floats."""
-    p = _require_canonical(p)
-    return region_of(p), np.asarray(p.lambdas).tolist()
+    """Region tag and eigenphases (as Python floats) of ``p``, checked once."""
+    alpha = _require_canonical(p).alpha
+    a1, a2, a3 = alpha[0], alpha[1], abs(alpha[2])
+    if a1 + a2 >= QUARTER_PI - BOUNDARY_TOL and a2 + a3 <= QUARTER_PI + BOUNDARY_TOL:
+        region = RegionTag.ONE_EBIT
+    else:
+        region = RegionTag.REGION_1 if a1 + a2 < QUARTER_PI else RegionTag.REGION_2
+    return region, lambdas_from_alpha(alpha).tolist()
 
 
 def _saturating_input(lam: list[float]) -> PureState:
@@ -127,14 +126,14 @@ def _saturating_input(lam: list[float]) -> PureState:
         s, c = math.sin(gap), math.cos(gap)
         s, c = s + err * c, c - err * s
         cross[i, j], chords[i, j] = 2.0 * s * c, abs(c)  # abs(c) = |z_i + z_j|/2
-    fits = []
-    for i, j, k in itertools.combinations(range(4), 3):
-        x = (cross[j, k], -cross[i, k], cross[i, j])
-        d = sum(x)
+    low, tri, w = -1.0, (), ()
+    for i, j, k in _TRIANGLES:  # the last of equal smallest weights wins
+        x = cross[j, k], -cross[i, k], cross[i, j]
+        d = x[0] + x[1] + x[2]
         if d != 0.0:
-            w = tuple(v / d for v in x)
-            fits.append((min(w), (i, j, k), w))
-    low, tri, w = max(fits, default=(-1.0, (), ()))
+            fit = x[0] / d, x[1] / d, x[2] / d
+            if min(fit) >= low:
+                low, tri, w = min(fit), (i, j, k), fit
     if low < 0.0:
         tri, w = min(chords, key=chords.get), (0.5, 0.5)
     b = np.zeros(4, dtype=complex)
@@ -159,7 +158,7 @@ def _widest_pair(lam: list[float]) -> tuple[int, int, float]:
 
 def _mixture(j: int, k: int, f: float) -> PureState:
     pair = BELL_BASIS[:, j] + np.exp(1j * f) * BELL_BASIS[:, k]
-    return PureState(pair / np.sqrt(2.0))
+    return PureState(pair / math.sqrt(2.0))
 
 
 def capacity_c2(p) -> AnalyticCapacity:

@@ -228,7 +228,7 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
     )
     if args.family is not None:
-        grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+        grid = np.linspace(args.alpha_min, args.alpha_max, max(args.steps, 0))
         rows = family_sweep(FamilyKind(args.family), grid, **common)
     else:
         rows = custom_sweep(args.alpha_triple, **common)

@@ -9,7 +9,7 @@ Each measure has one kernel over rows of states cut between dim_a and
 dim_b: ``_flip_terms`` for the concurrences, ``_cut_terms`` (clamped at 0)
 for the linear entropy and the entropy.  A kernel returns the values, as
 ``entanglement_batch``, or their closed-form gradients, never both; the
-scalar functions feed ``entanglement_batch`` one row.
+scalar functions are one-row wrappers around ``entanglement_batch``.
 """
 from __future__ import annotations
 
@@ -24,8 +24,9 @@ from .qcore import (
     PureState,
     default_partition,
     log2_spectrum,
+    require_unit_norm,
     spectrum_entropy_bits,
-    split_across_cut,
+    split_amplitudes,
 )
 
 
@@ -117,26 +118,26 @@ def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, gradient=False
     return grad.reshape(m, -1)
 
 
-def _as_state(psi) -> PureState:
-    if isinstance(psi, PureState):
-        return psi
-    amps = np.asarray(psi, dtype=complex)
-    n = int(round(math.log2(amps.size))) if amps.ndim == 1 and amps.size else -1
-    if n < 1 or 2**n != amps.size:
-        raise DimensionMismatchError(
-            f"amplitude vector of shape {amps.shape} is not a qubit register"
-        )
-    return PureState(amps, default_partition(n))
-
-
 def evaluate(kind: MeasureKind, psi, keep: str = "A") -> float:
     """Measure one state across its A|B cut, as one row of ``entanglement_batch``.
 
     ``psi`` is a PureState or a raw amplitude vector, split by
-    ``default_partition``.  Concurrence variants need one qubit per party;
-    on a larger (ancilla-extended) register they raise UnsupportedMeasureError.
+    ``default_partition``; a raw vector is checked once, with no PureState
+    built.  Concurrence variants need one qubit per party; on a larger
+    (ancilla-extended) register they raise UnsupportedMeasureError.
     """
-    t = split_across_cut(_as_state(psi), keep)
+    if isinstance(psi, PureState):
+        amps, labels = psi.amplitudes, psi.partition
+    else:
+        amps = np.ascontiguousarray(psi, dtype=complex)
+        n = amps.size.bit_length() - 1
+        if amps.ndim != 1 or n < 1 or amps.size != 1 << n:
+            raise DimensionMismatchError(
+                f"amplitude vector of shape {amps.shape} is not a qubit register"
+            )
+        require_unit_norm(amps)
+        labels = default_partition(n)
+    t = split_amplitudes(amps, labels, keep)
     return float(entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0])
 
 

@@ -386,19 +386,19 @@ def _central_differences(objective, raw: np.ndarray, step: float, gradients=Fals
     with f the objective's ``values``, or its ``gradients`` if asked.
 
     Whole rows share each call, up to ``_CERTIFICATE_ROWS`` shifted rows,
-    so memory does not grow with the row count."""
+    and each call writes its differences straight into the one output."""
     k, n = raw.shape
     shifts = step * np.eye(n)
     signed = np.concatenate([shifts, -shifts])
     per_call = max(1, _CERTIFICATE_ROWS // (2 * n))
-    parts = []
+    out = np.empty((k, n, n) if gradients else (k, n))
     for i in range(0, k, per_call):
         part = objective.take(slice(i, i + per_call))
         fn = part.gradients if gradients else part.values
-        parts.append(fn(raw[i : i + per_call, None, :] + signed))
-    out = np.concatenate(parts)
-    out = out.reshape(k, 2, n, *out.shape[2:])
-    return (out[:, 0] - out[:, 1]) / (2 * step)
+        ends = fn(raw[i : i + per_call, None, :] + signed)
+        ends = ends.reshape(-1, 2, *out.shape[1:])
+        out[i : i + per_call] = (ends[:, 0] - ends[:, 1]) / (2 * step)
+    return out
 
 
 def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ BELL_BASIS = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2)
+BELL_BASIS_DAGGER = BELL_BASIS.conj().T
 
 # Row j maps interaction coefficients (a1, a2, a3) to the eigenphase of
 # column j of BELL_BASIS.  Rows sum to zero columnwise, so the phases always
@@ -103,6 +104,12 @@ def default_partition(n_qubits: int) -> tuple[str, ...]:
     return ("A",) * n_a + ("B",) * (n_qubits - n_a)
 
 
+def require_unit_norm(amps: np.ndarray) -> None:
+    """The package's one norm check, written so that NaN and +-inf fail."""
+    if not abs(np.vdot(amps, amps).real ** 0.5 - 1.0) <= NORM_ATOL:
+        raise NotNormalizedError("amplitudes must have unit norm")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm amplitude vector plus a per-qubit ownership label.
@@ -119,19 +126,17 @@ class PureState:
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
         if self.partition is None:
-            n = int(amps.size).bit_length() - 1
-            labels = default_partition(n)
+            labels = default_partition(amps.size.bit_length() - 1)
         else:
             labels = tuple(self.partition)
-        if any(label not in ("A", "B") for label in labels):
+        if labels.count("A") + labels.count("B") != len(labels):
             raise WrongPartitionError(f"labels must be 'A' or 'B', got {labels!r}")
         if amps.ndim != 1 or amps.size != 2 ** len(labels):
             raise DimensionMismatchError(
                 f"{len(labels)} qubit labels need 2**{len(labels)} amplitudes, "
                 f"got shape {amps.shape}"
             )
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
-            raise NotNormalizedError("amplitudes must have unit norm")
+        require_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "partition", labels)
@@ -152,14 +157,21 @@ class PureState:
 def split_across_cut(psi: PureState, keep: str = "A") -> np.ndarray:
     """Amplitudes as a matrix whose rows index ``keep``'s qubits and whose
     columns index the other party's, each in register order."""
+    return split_amplitudes(psi.amplitudes, psi.partition, keep)
+
+
+def split_amplitudes(amps: np.ndarray, labels: tuple[str, ...], keep: str):
+    """``split_across_cut`` of a checked amplitude vector and its labels; a
+    plain reshape when ``keep``'s qubits lead the register."""
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    kept = [i for i, owner in enumerate(psi.partition) if owner == keep]
-    dropped = [i for i, owner in enumerate(psi.partition) if owner != keep]
-    if not kept or not dropped:
+    kept = [i for i, owner in enumerate(labels) if owner == keep]
+    if not 0 < len(kept) < len(labels):
         raise WrongPartitionError("a cut needs at least one qubit on each side")
-    t = psi.amplitudes.reshape((2,) * psi.n_qubits)
-    return t.transpose(kept + dropped).reshape(2 ** len(kept), -1)
+    if kept[-1] >= len(kept):  # keep's qubits are not 0, 1, ..., len(kept) - 1
+        dropped = [i for i, owner in enumerate(labels) if owner != keep]
+        amps = amps.reshape((2,) * len(labels)).transpose(kept + dropped)
+    return amps.reshape(2 ** len(kept), -1)
 
 
 def partial_trace(psi: PureState, keep: str = "A") -> np.ndarray:
@@ -204,7 +216,7 @@ def build_canonical_unitary(params) -> np.ndarray:
             f"expected three interaction coefficients, got shape {alpha.shape}"
         )
     phases = np.exp(1j * lambdas_from_alpha(alpha))
-    return (BELL_BASIS * phases) @ BELL_BASIS.conj().T
+    return (BELL_BASIS * phases) @ BELL_BASIS_DAGGER
 
 
 def haar_random_state(

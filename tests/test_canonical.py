@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from entcap.canonical import (
     CanonicalParams,
+    _fold_into_cell,
     bell_coefficients,
     decompose,
     invariants_match,
@@ -14,12 +17,15 @@ from entcap.measures import concurrence
 from entcap.qcore import (
     BELL_BASIS,
     CNOT,
+    DCNOT,
     IDENTITY4,
+    PAULI_YY,
     SWAP,
     PureState,
     build_canonical_unitary,
     haar_random_local_unitary,
     haar_random_state,
+    haar_random_unitary,
     make_rng,
 )
 
@@ -60,6 +66,45 @@ def test_u_tilde_inverts_locals_up_to_determinant():
         assert np.allclose(u_tilde(v) @ v, scale * np.eye(4), atol=1e-12)
     with pytest.raises(DimensionMismatchError):
         u_tilde(np.eye(2))
+
+
+def test_u_tilde_is_its_matrix_product_form_bit_for_bit():
+    # The index permutation is exact, so it gives the two products' bits,
+    # signed zeros included.
+    rng = make_rng(41)
+    gates = [haar_random_unitary(4, rng) for _ in range(100)]
+    gates += [CNOT, DCNOT, SWAP, IDENTITY4, -1j * CNOT]
+    for u in gates:
+        assert u_tilde(u).tobytes() == (PAULI_YY @ u.T @ PAULI_YY).tobytes()
+
+
+def _fold_by_arrays(alpha_raw):
+    """The fold in its numpy array form."""
+    w = QUARTER_PI - (QUARTER_PI - np.asarray(alpha_raw)) % (np.pi / 2)
+    w = w[np.argsort(-np.abs(w), kind="stable")]
+    signs = np.where(w[:2] < 0, -1.0, 1.0)
+    return np.array([abs(w[0]), abs(w[1]), w[2] * signs[0] * signs[1]])
+
+
+def test_fold_into_cell_is_its_array_form_bit_for_bit():
+    # The cell's faces (+-pi/4 and 0), their pi/2 shifts, their neighbouring
+    # floats, and ties in |a|, signed zeros included.
+    edges = [QUARTER_PI, np.nextafter(QUARTER_PI, 0.0), np.nextafter(QUARTER_PI, 1.0)]
+    edges = [e + k * np.pi / 2 for e in edges for k in (-2, -1, 0, 1)] + [0.0, 0.3]
+    edges += [-e for e in edges]
+    triples = list(itertools.product(edges, repeat=3))
+    rng = make_rng(42)
+    for _ in range(2000):
+        a = rng.uniform(-np.pi, np.pi, 3)
+        a[rng.integers(3)] = a[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        triples.append(a + np.pi / 2 * rng.integers(-2, 3, 3))
+    # the raw triples of Haar gates, as decompose forms them
+    for _ in range(200):
+        lam = np.angle(local_invariants(haar_random_unitary(4, rng))[:3]) / 2
+        triples.append(0.5 * (lam[[1, 0, 0]] + lam[[2, 2, 1]]))
+    for raw in triples:
+        got = np.array(_fold_into_cell([float(a) for a in raw]))
+        assert got.tobytes() == _fold_by_arrays(raw).tobytes(), raw
 
 
 def test_local_invariants_invariant_under_dressing():

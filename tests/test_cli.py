@@ -294,6 +294,7 @@ def test_sweep_without_workers_or_grid_points_exits_1(capsys):
         ([*sweep, "--workers", "0"], "error: need at least one worker"),
         ([*sweep, "--workers", "-3"], "error: need at least one worker"),
         ([*sweep, "--steps", "0"], "error: need at least one grid point"),
+        ([*sweep, "--steps", "-3"], "error: need at least one grid point"),
     ]:
         assert main(argv) == 1, argv
         captured = capsys.readouterr()

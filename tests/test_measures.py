@@ -5,6 +5,7 @@ from entcap.errors import (
     DimensionMismatchError,
     NotNormalizedError,
     UnsupportedMeasureError,
+    WrongPartitionError,
 )
 from entcap.measures import (
     CONCURRENCE_KINDS,
@@ -26,6 +27,7 @@ from entcap.qcore import (
     haar_random_local_unitary,
     haar_random_state,
     make_rng,
+    split_across_cut,
 )
 
 
@@ -134,6 +136,63 @@ def test_evaluate_rejects_empty_and_nan_vectors():
         evaluate(MeasureKind.CONCURRENCE, np.array([], dtype=complex))
     with pytest.raises(NotNormalizedError):
         evaluate(MeasureKind.ENTROPY_OF_ENTANGLEMENT, np.array([np.nan, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind), ids=lambda k: k.value)
+def test_evaluate_rejects_bad_raw_vectors(kind):
+    not_registers = [
+        np.array([], dtype=complex),
+        np.array([1.0]),
+        np.array([1.0, 0, 0]),
+        np.ones(6) / np.sqrt(6),
+        np.eye(2) / np.sqrt(2),
+        np.complex128(1.0),
+    ]
+    for amps in not_registers:
+        with pytest.raises(DimensionMismatchError):
+            evaluate(kind, amps)
+    for bad in (2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(NotNormalizedError):
+            evaluate(kind, np.array([bad, 0, 0, 0]))
+    with pytest.raises(NotNormalizedError):
+        evaluate(kind, np.array([1.0, 0, 1.0, 0, 0, 0, 0, 0]))
+    # One qubit has no cut, and a party must be A or B.
+    with pytest.raises(WrongPartitionError):
+        evaluate(kind, np.array([1.0, 0]))
+    with pytest.raises(ValueError):
+        evaluate(kind, np.array([1.0, 0, 0, 0]), keep="C")
+
+
+def _kernel_reference(kind, psi, keep):
+    """evaluate's definition: one row of the kernel, split across the cut."""
+    t = split_across_cut(psi, keep)
+    return entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0]
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind), ids=lambda k: k.value)
+def test_evaluate_is_one_kernel_row_bit_for_bit(kind):
+    rng = make_rng(31)
+    for n in range(2, 7):
+        labels = [("A", "B")[i % 2] for i in range(n)]  # A does not lead
+        for keep in ("A", "B"):
+            for _ in range(4):
+                amps = haar_random_state(n, rng).amplitudes
+                states = [
+                    (np.array(amps), PureState(amps)),
+                    (np.stack([amps, amps], axis=1)[:, 0], PureState(amps)),
+                    (PureState(amps, tuple(labels)),) * 2,
+                    (PureState(amps, tuple(reversed(labels))),) * 2,
+                ]
+                for given, split in states:
+                    try:
+                        want = _kernel_reference(kind, split, keep)
+                    except UnsupportedMeasureError:
+                        with pytest.raises(UnsupportedMeasureError):
+                            evaluate(kind, given, keep)
+                        continue
+                    got = evaluate(kind, given, keep)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_measure_kind_round_trips_flag_strings():

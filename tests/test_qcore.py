@@ -47,11 +47,14 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0, 0]))
     with pytest.raises(WrongPartitionError):
         PureState(np.array([1.0, 0, 0, 0]), ("A", "C"))
+    with pytest.raises(WrongPartitionError):
+        PureState(np.array([1.0, 0, 0, 0]), (["A"], "B"))
     with pytest.raises(DimensionMismatchError):
         PureState(np.array([1.0, 0, 0, 0]), ("A", "A", "B"))
-    # A NaN norm is not within the tolerance of 1, so it fails the check.
-    with pytest.raises(NotNormalizedError):
-        PureState(np.array([np.nan, 0, 0, 0]))
+    # A NaN or infinite norm is not within the tolerance of 1, so it fails.
+    for bad in (np.nan, np.inf, -np.inf, 1j * np.inf):
+        with pytest.raises(NotNormalizedError):
+            PureState(np.array([bad, 0, 0, 0]))
 
 
 def test_pure_state_amplitudes_read_only():
@@ -157,6 +160,17 @@ def test_canonical_unitary_bell_eigenbasis():
         _require_unitary(u)
         phases = np.exp(1j * lambdas_from_alpha(alpha))
         assert np.allclose(u @ BELL_BASIS, BELL_BASIS * phases[None, :], atol=1e-12)
+
+
+def test_canonical_unitary_is_its_matrix_form_bit_for_bit():
+    rng = make_rng(22)
+    triples = [rng.uniform(-np.pi, np.pi, 3) for _ in range(200)]
+    triples += [np.zeros(3), np.full(3, np.pi / 4), np.array([np.pi / 4, 0.0, 0.0])]
+    for alpha in triples:
+        phases = np.exp(1j * lambdas_from_alpha(alpha))
+        want = (BELL_BASIS * phases) @ BELL_BASIS.conj().T
+        assert build_canonical_unitary(alpha).tobytes() == want.tobytes()
+        assert build_canonical_unitary(tuple(alpha)).tobytes() == want.tobytes()
 
 
 def test_haar_state_seeded_and_normalized():
