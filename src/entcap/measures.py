@@ -40,8 +40,8 @@ class MeasureKind(enum.Enum):
 
 
 CONCURRENCE_KINDS = (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_SQUARED)
-# Polynomials in the amplitudes, so kink-free: the optimizer's polish tries
-# their full Newton step alone before its ladder.
+# Polynomials in the amplitudes, so kink-free: the optimizer climbs them along
+# L-BFGS directions, and its polish tries their full Newton step alone first.
 SMOOTH_KINDS = (MeasureKind.CONCURRENCE_SQUARED, MeasureKind.LINEAR_ENTROPY)
 
 

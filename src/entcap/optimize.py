@@ -4,16 +4,17 @@ States live on a register laid out as (Alice ancillas, Alice shared qubit,
 Bob shared qubit, Bob ancillas), so the nonlocal gate always acts on the
 middle pair and the A|B cut splits the basis index in half.  Real parameter
 vectors map to states through ``parameterize_state`` (interleaved real and
-imaginary parts, then normalization); the search is projected gradient
-ascent on the unit sphere of parameters; a product start's row holds the
-state's two factors instead.  One line search, ``_tiered_rungs``, serves
-the climb and the polish: a row tries tiers of step ladders in order until
-one moves it, the best Armijo-acceptable rung of a tier wins, and no step
-is at or below ``_STEP_TOLERANCE``; on the smooth measures (c2, linear
-entropy) the polish's first tier is the full Newton step alone.  Every
-measure takes one path: the output term is the measure of U psi, its
-closed-form gradient pulled back through U^dagger; central differences serve
-only the convergence certificate and the polish's Hessians.
+imaginary parts, then normalization); the search is projected ascent on
+the unit sphere of parameters, along the gradient or, on the smooth
+measures (c2, linear entropy), along limited-memory BFGS directions; a
+product start's row holds the state's two factors instead.  One line
+search, ``_tiered_rungs``, serves the climb and the polish: a row tries
+step ladders in tiers until one moves it, the best Armijo-acceptable rung
+of a tier wins, no step is at or below ``_STEP_TOLERANCE``, and on the
+smooth measures the first tier is a full L-BFGS (climb) or Newton
+(polish) step alone.  Every measure takes one path: the output term is the
+measure of U psi, its closed-form gradient pulled back through U^dagger;
+central differences serve only the certificate and the polish's Hessians.
 
 All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call and one line search for the rows still
@@ -85,6 +86,8 @@ _STALL_WINDOW = 20
 # Fourfold cut per stall window (n <= 64): a x0.95-a-step crawl halves its norm.
 _STALL_CUT = 0.25
 _STEP_TOLERANCE = 1e-10
+# Pairs in a row's quasi-Newton memory on the smooth measures (L-BFGS).
+_QN_MEMORY = 6
 # The climb's ladder: 8 rungs, then halving rungs past _STEP_TOLERANCE.
 _ASCENT_RUNGS = 8
 _LADDER = 0.5 ** np.arange(int(math.log2(_STEP_CAP / _STEP_TOLERANCE)) + 1)
@@ -482,7 +485,7 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     damped Newton steps restricted to the negative-curvature subspace contract
     the gradient below the convergence threshold.  On a smooth measure
     (``SMOOTH_KINDS``) a row tries the full Newton step alone first, as the
-    climb tries its secant rung; then, and on every other measure first, the
+    climb tries its first rung; then, and on every other measure first, the
     best rung of the Newton ladder.  When the quadratic model misjudges the
     scale (sharp apexes), plain gradient rungs take over, then probes along
     the gradient and the three most negative curvature axes, keeping any
@@ -530,20 +533,40 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     return raw, value
 
 
-def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
-    """Projected gradient ascent of a (k, n) block of restarts in lockstep.
+def _quasi_newton(grad, raw, pairs, s, y):
+    """Two-loop L-BFGS ascent direction (Nocedal 1980) of each row, projected
+    on the tangent space, after storing its pair (s, y) in ``pairs`` (oldest
+    first, zeros unfilled) if s.y > 0; H0 is (s.y / y.y) I of the newest."""
+    new = np.flatnonzero(_dots(s, y) > 0)  # also fails for NaN
+    for i in range(pairs.shape[1] - 1):  # slot by slot: small temporaries
+        pairs[new, i] = pairs[new, i + 1]
+    pairs[new, -1, 0], pairs[new, -1, 1] = s[new], y[new]
+    s, y = pairs[:, :, 0], pairs[:, :, 1]
+    sy, yy = _dots(s, y), _dots(y[:, -1], y[:, -1])
+    rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)
+    q, alpha = grad.copy(), np.empty(sy.shape)
+    for i in reversed(range(sy.shape[1])):
+        alpha[:, i] = rho[:, i] * _dots(s[:, i], q)
+        q -= alpha[:, i, None] * y[:, i]
+    q *= np.divide(sy[:, -1], yy, out=np.zeros_like(yy), where=sy[:, -1] > 0)[:, None]
+    for i in range(sy.shape[1]):
+        q += (alpha[:, i] - rho[:, i] * _dots(y[:, i], q))[:, None] * s[:, i]
+    return _tangent(q, raw)
 
-    Every row keeps its own curvature-matched step, Armijo ladder, stall
-    window and iteration count, and leaves the batch where an ascent of that
-    row alone would stop: when its tangent gradient norm is below
-    ``_EXIT_GRAD_NORM``, when no step is acceptable or at ``max_iterations``.
-    With n <= _POLISH_MAX_PARAMS a row also leaves unless its gradient norm
-    fell by ``_STALL_CUT`` (fourfold) over the stall window: a crawl lasts
-    hundreds of iterations, and the polish ends it in a few rounds.  The line
-    search is ``_tiered_rungs`` on ``_LADDER`` from the row's step.  An
-    iteration makes one ``gradients`` call, the line search's ``values``
-    calls and one exit, on the objective restricted to the climbing rows;
-    returns (raw, value).
+
+def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
+    """Projected ascent of a (k, n) block of restarts in lockstep.
+
+    Every row keeps its own secant step, Armijo ladder, stall window,
+    iteration count and, on ``SMOOTH_KINDS``, the ``_QN_MEMORY`` newest (s, y)
+    pairs with s.y > 0, and leaves the batch where its ascent alone would
+    stop: its tangent norm below ``_EXIT_GRAD_NORM``, no acceptable step, or
+    ``max_iterations``; with n <= _POLISH_MAX_PARAMS also unless its norm fell
+    by ``_STALL_CUT`` (fourfold) over the stall window, for the polish.  The
+    line search is ``_tiered_rungs`` on ``_LADDER``: from 1 along a row's
+    L-BFGS direction where it ascends, else from its secant step along the
+    gradient.  An iteration makes one ``gradients`` call, the line search's
+    ``values`` calls and one exit, on the climbing rows; returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -556,28 +579,38 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
     norms = np.empty((_STALL_WINDOW, k))
+    # Per-row quasi-Newton memory; kinked measures keep none: the polish takes kinks.
+    pairs = np.zeros((k, _QN_MEMORY if objective.measure in SMOOTH_KINDS else 0, 2, n))
     for iteration in range(cfg.max_iterations):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
+        direction, slope, trial_step = grad, norm**2, step
         if iteration:
             # Secant (Barzilai-Borwein) step: match the curvature seen along
             # the last move so ill-conditioned ridges do not force a crawl.
-            dx = r - prev_r
-            curvature = _dots(dx, prev_g - grad)
+            dx, dg = r - prev_r, prev_g - grad
+            curvature = _dots(dx, dg)
             bb = np.divide(
                 _dots(dx, dx), curvature,
                 out=np.zeros_like(curvature), where=curvature > 0,
             )
-            # bb < inf also fails for NaN.
-            secant = (bb > 0) & (bb < np.inf)
-            step = np.where(secant, np.minimum(bb, _STEP_CAP), step)
+            secant = (bb > 0) & (bb < np.inf)  # bb < inf also fails for NaN
+            step = trial_step = np.where(secant, np.minimum(bb, _STEP_CAP), step)
+        if iteration and pairs.shape[1]:
+            # A row whose L-BFGS direction ascends steps from 1 along it.
+            ascent = _quasi_newton(grad, r, pairs, dx, dg)
+            ascent_slope = _dots(grad, ascent)
+            quasi = ascent_slope > 0
+            direction = np.where(quasi[:, None], ascent, grad)
+            slope = np.where(quasi, ascent_slope, slope)
+            trial_step = np.where(quasi, 1.0, step)
         prev_r, prev_g = r, grad
-        # Done rows try no rung.  The secant rung alone first: the best of
-        # all 8 rungs costs 8 trials a row, and the secant step is usually
+        # Done rows try no rung.  The first rung alone first: the best of
+        # all 8 rungs costs 8 trials a row, and the first is usually
         # acceptable.  Along grad the directional derivative is its norm^2.
-        live, slope = ~(norm < _EXIT_GRAD_NORM), norm**2
+        live = ~(norm < _EXIT_GRAD_NORM)
         moved, r, v = _tiered_rungs(climbing, r, v, [
-            (live, grad, slope, step, rungs, 0.0)
+            (live, direction, slope, trial_step, rungs, 0.0)
             for rungs in (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:])
         ])
         stop = ~moved
@@ -588,8 +621,8 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         if stop.any():
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
             raw[rows[done]], value[rows[done]] = r.take(done, axis=0), v.take(done)
-            rows, r, v, step, prev_r, prev_g = (
-                a.take(keep, axis=0) for a in (rows, r, v, step, prev_r, prev_g)
+            rows, r, v, step, prev_r, prev_g, pairs = (
+                a.take(keep, axis=0) for a in (rows, r, v, step, prev_r, prev_g, pairs)
             )
             climbing = climbing.take(keep)
             norms = norms.take(keep, axis=1)
@@ -731,8 +764,10 @@ def minimize_initial_entanglement(
     since the rounds approach it from below, and the penalty tenfold when
     that shortfall fell less than 4-fold.  If the state reached is short of
     the target, the capacity search's result is returned instead, with a
-    RuntimeWarning.
+    RuntimeWarning.  The slack and the penalty must be finite and positive.
     """
+    if not (0 < value_slack < math.inf and 0 < penalty < math.inf):
+        raise ValueError("slack and penalty must be finite and positive")
     cfg = cfg or _default_config(anc_a, anc_b)
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
     target, aim = base.value - value_slack, base.value - value_slack / 2

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entcap
 from entcap import optimize
 from entcap.canonical import decompose, invariants_match, local_invariants
 from entcap.capacity import capacity_entropy_no_ancilla, capacity_linear_entropy
@@ -271,9 +276,10 @@ def test_best_rungs_never_steps_at_or_below_tolerance(target, found, x0):
 
 class _SteepQuadratic:
     """-1e6 (x0 - 1/2)^2 of the unit row x: so steep that from (0.8, 0.6)
-    every rung of the 8-rung ladder overshoots the maximum."""
+    every rung of the 8-rung ladder overshoots the maximum.  It has no
+    measure, so the climb keeps no quasi-Newton memory for it."""
 
-    n_raw = 4
+    n_raw, measure = 4, None
 
     def take(self, rows):
         return self
@@ -449,10 +455,104 @@ def test_linearly_crawling_restarts_are_handed_to_the_polish():
     assert abs(value.max() - np.sin(2 * (a1 + a2))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        (np.pi / 16, np.pi / 32, 0.0),
+        (np.pi / 16, np.pi / 64, np.pi / 64),
+        (np.pi / 16, np.pi / 32, np.pi / 32),
+    ],
+    ids=["a3-zero", "a2-a3-small", "a2-eq-a3"],
+)
+def test_step_capped_rows_climb_along_quasi_newton_directions(alpha):
+    # On these rows the secant step asks for ~2 and _STEP_CAP clips it to
+    # 0.2, so a climb along the gradient shrinks it only x0.9 per step and
+    # takes 135-147 gradients calls; the L-BFGS unit step takes 18-29.
+    a1, a2, _ = alpha
+    objective = _RowCounter(optimize._CutObjective(
+        build_canonical_unitary(alpha), MeasureKind.CONCURRENCE_SQUARED, 0, 0
+    ))
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+    raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+    assert sum(name == "gradients" for name, _ in objective.calls) <= 40
+    certificate = optimize._certificate_norms(objective.objective, raw)
+    assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
+    assert np.all(np.abs(value - np.sin(2 * (a1 + a2))) <= 1e-12)
+
+
+class _RaySpy:
+    """An objective that checks every climb trial against the ray of its
+    restart: the normalized ray from its unit row r along its tangent
+    gradient g at the last gradients call.  ``rows`` are the restarts of its
+    parameter rows; ``log`` counts trials "on" and "off" their rays."""
+
+    def __init__(self, objective, rows, log, rays=None):
+        self.objective, self.rows, self.log = objective, rows, log
+        self.n_raw, self.measure = objective.n_raw, objective.measure
+        self.rays = {} if rays is None else rays
+
+    def take(self, rows):
+        return _RaySpy(self.objective.take(rows), self.rows[rows], self.log, self.rays)
+
+    def gradients(self, raw):
+        grad = self.objective.gradients(raw)
+        self.rays.update(zip(self.rows, zip(raw, optimize._tangent(grad, raw))))
+        return grad
+
+    def values(self, raw):
+        if raw.ndim == 3:  # the climb's trials; its start values are 2-D
+            for i, trials in zip(self.rows, raw):
+                r, g = self.rays[i]
+                along = trials @ g
+                rest = trials - np.outer(trials @ r, r) - np.outer(along / (g @ g), g)
+                on = (np.linalg.norm(rest, axis=1) <= 1e-12) & (along > 0)
+                self.log["on"] += np.count_nonzero(on)
+                self.log["off"] += np.count_nonzero(~on)
+        return self.objective.values(raw)
+
+
+@pytest.mark.parametrize(
+    "measure, anc, smooth",
+    [
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (0, 0), False),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (1, 1), False),
+        (MeasureKind.CONCURRENCE, (0, 0), False),
+        (MeasureKind.CONCURRENCE_SQUARED, (0, 0), True),
+    ],
+    ids=["entropy", "entropy-a11", "concurrence", "c2"],
+)
+def test_only_smooth_measures_climb_off_the_gradient_ray(measure, anc, smooth):
+    # The kinked measures keep no quasi-Newton memory: every trial lies on
+    # its row's gradient ray.  On c2 some trials follow L-BFGS directions.
+    log = {"on": 0, "off": 0}
+    objective = optimize._CutObjective(REGION_1_GATE, measure, *anc)
+    spy = _RaySpy(objective, np.arange(8), log)
+    raw0 = np.array([make_rng(s).standard_normal(spy.n_raw) for s in range(8)])
+    optimize._climb(spy, raw0, OptimizerConfig(max_iterations=40))
+    assert log["on"] > 0
+    assert (log["off"] > 0) == smooth, log
+
+
+class _LiveRowCounter(_RowCounter):
+    """A _RowCounter that logs each gradients call with its live rows: those
+    whose tangent norm is not below the climb's exit, which try a rung."""
+
+    def take(self, rows):
+        return _LiveRowCounter(self.objective.take(rows), self.calls)
+
+    def gradients(self, raw):
+        grad = self.objective.gradients(raw)
+        tangent = optimize._tangent(grad, raw)
+        norm = np.sqrt(optimize._dots(tangent, tangent))
+        live = np.count_nonzero(~(norm < optimize._EXIT_GRAD_NORM))
+        self.calls.append(("gradients", live))
+        return grad
+
+
 def test_line_search_tries_the_secant_rung_alone_first():
     # At n = 8 as for every n: the first values call after each gradients
-    # call of the climb has one trial per climbing row.
-    objective = _RowCounter(
+    # call of the climb has one trial per live row (done rows try no rung).
+    objective = _LiveRowCounter(
         optimize._CutObjective(REGION_1_GATE, MeasureKind.CONCURRENCE_SQUARED, 0, 0)
     )
     assert objective.n_raw == 8
@@ -831,6 +931,45 @@ def test_ascend_never_holds_more_rows_than_a_block(monkeypatch, block, most):
     assert sum(sizes) == 2 * 5
 
 
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+from entcap.errors import ConvergenceError
+from entcap.measures import MeasureKind
+from entcap.optimize import OptimizerConfig, numeric_capacity
+from entcap.qcore import DCNOT
+cfg = OptimizerConfig(restarts=int(sys.argv[1]), max_iterations=3)
+try:
+    numeric_capacity(DCNOT, MeasureKind.LINEAR_ENTROPY, 2, 2, cfg)
+except ConvergenceError:  # three iterations certify nothing: only memory counts
+    pass
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _peak_rss(restarts):
+    """Peak RSS of a fresh process that runs one 2+2 linear-entropy search."""
+    src = str(Path(entcap.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(restarts)],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    )
+    return int(out.stdout)
+
+
+def test_peak_rss_is_flat_in_the_restart_count():
+    # A search climbs its restarts in parts of one block, each with its own
+    # quasi-Newton memory (linear entropy is smooth; n = 128 at 2+2), so four
+    # blocks of restarts need about the memory of one.
+    pytest.importorskip("resource")
+    n = optimize._CutObjective(DCNOT, MeasureKind.LINEAR_ENTROPY, 2, 2).n_raw
+    block = optimize._BLOCK_PARAMETERS // n
+    assert block >= 64
+    one, four = _peak_rss(block), _peak_rss(4 * block)
+    assert four <= 1.1 * one, (one, four)
+
+
 def test_custom_sweep_uses_leading_angle():
     rows = custom_sweep(
         [(0.5, 0.4, 0.1), (0.2, 0.1, 0.0)], MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
@@ -879,13 +1018,40 @@ def test_minimize_initial_entanglement_cnot_reaches_product():
 
 
 def test_minimize_initial_entanglement_warns_when_search_misses_target():
-    # Without the penalty the search only lowers E0 and drifts off capacity.
+    # With a negligible penalty the search only lowers E0 and drifts off
+    # capacity: twelve tenfold raises still leave it at 1.
     u = build_canonical_unitary((0.15, 0.1, 0.05))
     base = numeric_capacity(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
     with pytest.warns(RuntimeWarning, match="short of its target"):
         low = minimize_initial_entanglement(
-            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, penalty=0.0
+            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, penalty=1e-12
         )
     assert low.value == base.value
     assert low.initial_entanglement == base.initial_entanglement
     assert np.array_equal(low.optimal_state.amplitudes, base.optimal_state.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        {"value_slack": -1e-3},
+        {"value_slack": 0.0},
+        {"value_slack": math.nan},
+        {"penalty": 0.0},
+        {"penalty": -5.0},
+    ],
+    ids=["negative-slack", "zero-slack", "nan-slack", "zero-penalty", "negative-penalty"],
+)
+def test_minimize_initial_entanglement_rejects_bad_slack_and_penalty(
+    monkeypatch, arguments
+):
+    # The inputs are checked before any search runs.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(optimize, "_capacities", no_search)
+    u = build_canonical_unitary((0.3, 0.2, 0.1))
+    with pytest.raises(ValueError, match="slack and penalty"):
+        minimize_initial_entanglement(
+            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, **arguments
+        )
