@@ -487,13 +487,11 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     (``SMOOTH_KINDS``) a row tries the full Newton step alone first, as the
     climb tries its first rung; then, and on every other measure first, the
     best rung of the Newton ladder.  When the quadratic model misjudges the
-    scale (sharp apexes), plain gradient rungs take over, then probes along
-    the gradient and the three most negative curvature axes, keeping any
-    gain above roundoff: at the entropy's kink at product states the
-    gradient's sign says nothing.  A round makes one ``gradients`` call, one
-    for the rows' Hessians (2n rows each), one batched ``eigh`` and one
-    ``_tiered_rungs`` over those four tiers; a row leaves when its gradient
-    is below ``_EXIT_GRAD_NORM``, the climb's own exit, or no tier moves it.
+    scale (sharp apexes), plain gradient rungs take over.  A round makes one
+    ``gradients`` call, one for the rows' Hessians (2n rows each), one
+    batched ``eigh`` and one ``_tiered_rungs`` over those three tiers; a row
+    leaves when its gradient is below ``_EXIT_GRAD_NORM``, the climb's own
+    exit, or no tier moves it.
     """
     raw, value = raw.copy(), value.copy()
     rows, rounds = np.arange(raw.shape[0]), 0
@@ -517,9 +515,6 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         newton = _tangent(np.einsum("mij,mj->mi", eigenvectors, coeff), r)
         newton /= np.maximum(np.sqrt(_dots(newton, newton)), 1.0)[:, None]
         newton_slope = _dots(grad, newton)
-        # Eigenvalues ascend, so the first columns are the most negative axes.
-        axes = np.concatenate([grad[:, None], eigenvectors[:, :, :3].swapaxes(1, 2)], 1)
-        probes = np.stack([axes, -axes], axis=2).reshape(rows.size, -1, r.shape[1])
         ones = np.ones(rows.size)
         newton_ok = keep.any(axis=1) & (newton_slope > 0.0)
         smooth = newton_ok & (polishing.measure in SMOOTH_KINDS)
@@ -527,7 +522,6 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
             (smooth, newton, newton_slope, ones, _POLISH_LADDER[:1], 0.0),
             (newton_ok, newton, newton_slope, ones, _POLISH_LADDER, 0.0),
             (True, grad, norm**2, ones, _POLISH_LADDER, 0.0),
-            (True, probes, np.zeros(rows.size), ones, _POLISH_LADDER, 1e-14),
         ))
         rows = rows[moved]
     return raw, value
