@@ -94,12 +94,15 @@ def _matrix_from_json(text: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(type(v) in (int, float) for v in entry)  # no bool
             ):
                 raise MatrixParseError(
                     f"entry ({i},{j}) must be a [re, im] pair, got {entry!r}"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise MatrixParseError(f"entry ({i},{j}) overflows a float") from None
     return out
 
 

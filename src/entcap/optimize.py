@@ -12,9 +12,14 @@ search, ``_tiered_rungs``, serves the climb and the polish: a row tries
 step ladders in tiers until one moves it, the best Armijo-acceptable rung
 of a tier wins, no step is at or below ``_STEP_TOLERANCE``, and on the
 smooth measures the first tier is a full L-BFGS (climb) or Newton
-(polish) step alone.  Every measure takes one path: the output term is the
-measure of U psi, its closed-form gradient pulled back through U^dagger;
-central differences serve only the certificate and the polish's Hessians.
+(polish) step alone.  With ancillas the entropy climbs by Raydan's global
+Barzilai-Borwein method: a trial need only beat its row's lowest value over
+the stall window, and the secant step is capped at 1, not 0.2.  Two-qubit
+registers keep the monotone test, under which more restarts certify at
+optima on the product face.  Every measure takes one path: the output term
+is the measure of U psi, its closed-form gradient pulled back through
+U^dagger; central differences serve only the certificate and the polish's
+Hessians.
 
 All restarts of one search climb in lockstep as one block: each iteration
 makes one ``gradients`` call and one line search for the rows still
@@ -411,40 +416,36 @@ def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(grad, grad))
 
 
-def _best_rungs(objective, raw, value, direction, slope, ladders, margin=0.0):
-    """Best acceptable step of every row along its own directions.
+def _best_rungs(objective, raw, reference, direction, slope, ladders):
+    """Best acceptable step of every row along its own direction.
 
-    Row i tries the steps ``ladders[i]`` along ``direction[i]``, of shape
-    (n,) or (d, n) for d directions; a trial is acceptable if it beats
-    value[i] + margin by the Armijo share of the rise that the directional
-    derivative ``slope[i]`` predicts; no step at or below
-    ``_STEP_TOLERANCE`` is acceptable.  All trials share one ``values``
-    call, with each row's trials on its own row.  Returns (found, raw,
-    value); entries of rows with found False are junk.
+    Row i tries the steps ``ladders[i]`` along ``direction[i]``; a trial is
+    acceptable if it beats its Armijo reference ``reference[i]`` by the
+    Armijo share of the rise that the directional derivative ``slope[i]``
+    predicts; no step at or below ``_STEP_TOLERANCE`` is acceptable.  All
+    trials share one ``values`` call, with each row's trials on its own row.
+    Returns (found, raw, value); entries of rows with found False are junk.
 
     The best objective wins, not the longest step: the longest barely-
     improving step stops contracting near an optimum.
     """
-    m, n = raw.shape
-    direction = direction.reshape(m, -1, n)
-    trials = raw[:, None, None] + ladders[:, None, :, None] * direction[:, :, None]
-    trials = trials.reshape(m, -1, n)
+    trials = raw[:, None] + ladders[..., None] * direction.reshape(raw.shape)[:, None]
     trials /= _row_norms(trials)
     trial_vals = objective.values(trials)
-    steps = ladders if direction.shape[1] == 1 else np.tile(ladders, direction.shape[1])
-    accepted = (steps > _STEP_TOLERANCE) & (
-        trial_vals >= value[:, None] + margin + _ARMIJO_SLOPE * steps * slope[:, None]
+    accepted = (ladders > _STEP_TOLERANCE) & (
+        trial_vals >= reference[:, None] + _ARMIJO_SLOPE * ladders * slope[:, None]
     )
     if accepted.shape[1] == 1:  # one trial a row: nothing to choose
         return accepted[:, 0], trials[:, 0], trial_vals[:, 0]
     best = np.argmax(np.where(accepted, trial_vals, -np.inf), axis=1)
-    rows = np.arange(m)
+    rows = np.arange(len(raw))
     return accepted.any(axis=1), trials[rows, best], trial_vals[rows, best]
 
 
-def _tiered_rungs(objective, raw, value, tiers):
+def _tiered_rungs(objective, raw, value, tiers, reference=None):
     """The line search of the climb and the polish: ``_best_rungs`` on each
-    of the tiers (tried, direction, slope, steps, rungs, margin) in turn.
+    of the tiers (tried, direction, slope, steps, rungs) in turn, against
+    each row's Armijo ``reference`` (its value by default).
 
     A row tries a tier where ``tried`` holds and no earlier tier moved it;
     its ladder is its step times the tier's falling rungs, cut past the last
@@ -453,22 +454,23 @@ def _tiered_rungs(objective, raw, value, tiers):
     a row no tier moved keeps its own.
     """
     moved = np.zeros(len(raw), dtype=bool)
-    for tried, direction, slope, steps, rungs, margin in tiers:
+    reference = value if reference is None else reference
+    for tried, direction, slope, steps, rungs in tiers:
         rows = np.flatnonzero(tried & ~moved)
         if not rows.size:
             continue
         # Every row tries the tier on views, or the trying rows on copies.
         every = rows.size == len(raw)
-        r, v, d, s, step = (
+        r, ref, d, s, step = (
             a if every else a.take(rows, axis=0)
-            for a in (raw, value, direction, slope, steps)
+            for a in (raw, reference, direction, slope, steps)
         )
         cut = np.count_nonzero(step.max() * rungs > _STEP_TOLERANCE)
         if not cut:
             continue
         found, new_r, new_v = _best_rungs(
-            objective if every else objective.take(rows), r, v, d, s,
-            step[:, None] * rungs[:cut], margin,
+            objective if every else objective.take(rows), r, ref, d, s,
+            step[:, None] * rungs[:cut],
         )
         if every and found.all():  # no row is left for a later tier
             return found, new_r, new_v
@@ -519,9 +521,9 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         newton_ok = keep.any(axis=1) & (newton_slope > 0.0)
         smooth = newton_ok & (polishing.measure in SMOOTH_KINDS)
         moved, raw[rows], value[rows] = _tiered_rungs(polishing, r, v, (
-            (smooth, newton, newton_slope, ones, _POLISH_LADDER[:1], 0.0),
-            (newton_ok, newton, newton_slope, ones, _POLISH_LADDER, 0.0),
-            (True, grad, norm**2, ones, _POLISH_LADDER, 0.0),
+            (smooth, newton, newton_slope, ones, _POLISH_LADDER[:1]),
+            (newton_ok, newton, newton_slope, ones, _POLISH_LADDER),
+            (True, grad, norm**2, ones, _POLISH_LADDER),
         ))
         rows = rows[moved]
     return raw, value
@@ -559,8 +561,11 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     by ``_STALL_CUT`` (fourfold) over the stall window, for the polish.  The
     line search is ``_tiered_rungs`` on ``_LADDER``: from 1 along a row's
     L-BFGS direction where it ascends, else from its secant step along the
-    gradient.  An iteration makes one ``gradients`` call, the line search's
-    ``values`` calls and one exit, on the climbing rows; returns (raw, value).
+    gradient, capped at ``_STEP_CAP``.  With ancillas a kinked measure's cap
+    is 1 and its Armijo reference the row's lowest value over the stall
+    window (nonmonotone, Raydan 1997), elsewhere its value.  An iteration
+    makes one ``gradients`` call, the line search's ``values`` calls and one
+    exit, on the climbing rows; returns (raw, value).
     """
     raw = raw0 / _row_norms(raw0)
     value = objective.values(raw)
@@ -573,6 +578,11 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
     norms = np.empty((_STALL_WINDOW, k))
+    # Kinked measures with ancillas (n > 8): Raydan's global BB method.  A
+    # window of one value is the monotone test.
+    global_bb = objective.measure not in SMOOTH_KINDS and n > 8
+    cap, window = (1.0, _STALL_WINDOW) if global_bb else (_STEP_CAP, 1)
+    recent = np.tile(value, (window, 1))
     # Per-row quasi-Newton memory; kinked measures keep none: the polish takes kinks.
     pairs = np.zeros((k, _QN_MEMORY if objective.measure in SMOOTH_KINDS else 0, 2, n))
     for iteration in range(cfg.max_iterations):
@@ -589,7 +599,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                 out=np.zeros_like(curvature), where=curvature > 0,
             )
             secant = (bb > 0) & (bb < np.inf)  # bb < inf also fails for NaN
-            step = trial_step = np.where(secant, np.minimum(bb, _STEP_CAP), step)
+            step = trial_step = np.where(secant, np.minimum(bb, cap), step)
         if iteration and pairs.shape[1]:
             # A row whose L-BFGS direction ascends steps from 1 along it.
             ascent = _quasi_newton(grad, r, pairs, dx, dg)
@@ -604,9 +614,10 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         # acceptable.  Along grad the directional derivative is its norm^2.
         live = ~(norm < _EXIT_GRAD_NORM)
         moved, r, v = _tiered_rungs(climbing, r, v, [
-            (live, direction, slope, trial_step, rungs, 0.0)
+            (live, direction, slope, trial_step, rungs)
             for rungs in (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:])
-        ])
+        ], recent.min(axis=0))
+        recent[iteration % window] = v
         stop = ~moved
         if n <= _POLISH_MAX_PARAMS:
             norms[iteration % _STALL_WINDOW] = norm
@@ -619,7 +630,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
                 a.take(keep, axis=0) for a in (rows, r, v, step, prev_r, prev_g, pairs)
             )
             climbing = climbing.take(keep)
-            norms = norms.take(keep, axis=1)
+            norms, recent = (a.take(keep, axis=1) for a in (norms, recent))
             if not rows.size:
                 break
     # Rows still climbing stop at the iteration cap.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ def test_parse_matrix_rejects_bad_json(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(MatrixParseError):
         parse_matrix_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # A bool is an int in Python, but true is no JSON number.
+        ("[true, false]", "must be a [re, im] pair"),
+        ("[1" + "0" * 400 + ", 0]", "overflows a float"),
+    ],
+    ids=["bool", "huge-int"],
+)
+def test_decompose_rejects_json_entries_that_are_no_float(tmp_path, capsys, entry, message):
+    rows = [["[0, 0]"] * 4 for _ in range(4)]
+    for i, j in enumerate((0, 1, 3, 2)):  # CNOT, with the odd entry first
+        rows[i][j] = "[1, 0]"
+    rows[0][0] = entry
+    path = tmp_path / "odd.json"
+    path.write_text('{"matrix": [%s]}' % ", ".join("[%s]" % ", ".join(r) for r in rows))
+    with pytest.raises(MatrixParseError, match=re.escape(message)):
+        parse_matrix_file(str(path))
+    assert main(["decompose", "--matrix", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: entry (0,0)")
 
 
 def test_parse_matrix_unitarity_gate(tmp_path):

@@ -455,6 +455,27 @@ def test_linearly_crawling_restarts_are_handed_to_the_polish():
     assert abs(value.max() - np.sin(2 * (a1 + a2))) <= 1e-12
 
 
+@pytest.mark.parametrize("anc", [1, 2])
+def test_entropy_with_ancillas_makes_few_values_calls(monkeypatch, anc):
+    # The whole search: climb, polish (1+1 only) and certificate.  Under a
+    # monotone Armijo test with the secant step capped at 0.2 it made 114
+    # values calls at 1+1 and 121 at 2+2; the nonmonotone test with a cap of
+    # 1 makes 51 and 52.
+    calls, values = [], optimize._CutObjective.values
+
+    def counted(objective, raw):
+        calls.append(raw.shape)
+        return values(objective, raw)
+
+    monkeypatch.setattr(optimize._CutObjective, "values", counted)
+    u = _dressed(0, (np.pi / 8, np.pi / 8, 0.0))
+    res = numeric_capacity(
+        u, MeasureKind.ENTROPY_OF_ENTANGLEMENT, anc, anc, OptimizerConfig(restarts=4)
+    )
+    assert res.converged_restarts == 4
+    assert len(calls) <= 80
+
+
 @pytest.mark.parametrize(
     "alpha",
     [
@@ -531,6 +552,72 @@ def test_only_smooth_measures_climb_off_the_gradient_ray(measure, anc, smooth):
     optimize._climb(spy, raw0, OptimizerConfig(max_iterations=40))
     assert log["on"] > 0
     assert (log["off"] > 0) == smooth, log
+
+
+class _StepSpy:
+    """An objective that watches the climb's steps.  ``rows`` are the
+    restarts of its parameter rows; ``log`` holds every value it returned, by
+    (restart, row bytes), so that at each gradients call it finds the value
+    the climb holds for the row and counts in "lowered" the restarts whose
+    accepted step lowered it.  For the first values call after each
+    gradients call it logs in "steps" the step of every trial that lies on
+    its row's gradient ray."""
+
+    def __init__(self, objective, rows, log):
+        self.objective, self.rows, self.log = objective, rows, log
+        self.n_raw, self.measure = objective.n_raw, objective.measure
+
+    def take(self, rows):
+        return _StepSpy(self.objective.take(rows), self.rows[rows], self.log)
+
+    def gradients(self, raw):
+        grad = self.objective.gradients(raw)
+        for i, r, g in zip(self.rows, raw, optimize._tangent(grad, raw)):
+            value = self.log["seen"][i, r.tobytes()]
+            self.log["lowered"] += value < self.log["held"].get(i, -np.inf)
+            self.log["held"][i], self.log["ray"][i] = value, (r, g)
+        self.log["first"] = True
+        return grad
+
+    def values(self, raw):
+        out = self.objective.values(raw)
+        m, n = len(raw), raw.shape[-1]
+        for i, trials, vals in zip(self.rows, raw.reshape(m, -1, n), out.reshape(m, -1)):
+            self.log["seen"].update(((i, t.tobytes()), v) for t, v in zip(trials, vals))
+            if self.log["first"]:
+                r, g = self.log["ray"][i]
+                along = trials @ g / (g @ g)
+                rest = trials - np.outer(trials @ r, r) - np.outer(along, g)
+                on = (np.linalg.norm(rest, axis=1) <= 1e-12) & (along > 0)
+                self.log["steps"].extend(along[on] / (trials[on] @ r))
+        self.log["first"] = False
+        return out
+
+
+@pytest.mark.parametrize(
+    "measure, anc, nonmonotone",
+    [
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (1, 1), True),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, (0, 0), False),
+        (MeasureKind.CONCURRENCE, (0, 0), False),
+        (MeasureKind.CONCURRENCE_SQUARED, (0, 0), False),
+    ],
+    ids=["entropy-a11", "entropy", "concurrence", "c2"],
+)
+def test_only_kinked_measures_with_ancillas_accept_lower_values(measure, anc, nonmonotone):
+    # With ancillas the entropy climbs by Raydan's global Barzilai-Borwein
+    # method: a step may lower a row's value, and the secant step is capped
+    # at 1.  Everywhere else each accepted step raises the value, and the
+    # secant step is capped at _STEP_CAP (0.2).
+    log = {"seen": {}, "held": {}, "ray": {}, "steps": [], "lowered": 0, "first": False}
+    objective = optimize._CutObjective(REGION_1_GATE, measure, *anc)
+    spy = _StepSpy(objective, np.arange(8), log)
+    raw0 = np.array([make_rng(s).standard_normal(spy.n_raw) for s in range(8)])
+    optimize._climb(spy, raw0, OptimizerConfig(max_iterations=40))
+    assert log["steps"]
+    assert (log["lowered"] > 0) == nonmonotone, log["lowered"]
+    longest = max(log["steps"])
+    assert (longest > optimize._STEP_CAP + 1e-9) == nonmonotone, longest
 
 
 class _LiveRowCounter(_RowCounter):
