@@ -27,10 +27,11 @@ climbing, while every row keeps its own step, stall window and exit.  One
 rule says when a row is done, in the climb and the polish alike: its
 analytic tangent norm is below half the certificate's bound, so a row that
 reaches an optimum certifies there.  With at most 64 parameters a row whose
-norm has not fallen fourfold over its stall window leaves the climb too, and
-the polish then takes every row not yet done in one batch (one batch of
-Hessians and one batched ``eigh`` per round); the certificates of whole
-restarts share batched ``values`` calls.
+norm has not fallen fourfold over its stall window leaves the climb too, on
+a two-qubit register a smooth measure's row after one window (L-BFGS
+reaches the basin, Newton finishes), and the polish then takes every row
+not yet done in one batch (one batch of Hessians and one batched ``eigh``
+per round); the certificates of whole restarts share batched ``values`` calls.
 
 A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
@@ -52,7 +53,7 @@ import enum
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -534,8 +535,7 @@ def _quasi_newton(grad, raw, pairs, s, y):
     on the tangent space, after storing its pair (s, y) in ``pairs`` (oldest
     first, zeros unfilled) if s.y > 0; H0 is (s.y / y.y) I of the newest."""
     new = np.flatnonzero(_dots(s, y) > 0)  # also fails for NaN
-    for i in range(pairs.shape[1] - 1):  # slot by slot: small temporaries
-        pairs[new, i] = pairs[new, i + 1]
+    pairs[new, :-1] = pairs[new, 1:]
     pairs[new, -1, 0], pairs[new, -1, 1] = s[new], y[new]
     s, y = pairs[:, :, 0], pairs[:, :, 1]
     sy, yy = _dots(s, y), _dots(y[:, -1], y[:, -1])
@@ -558,7 +558,9 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     pairs with s.y > 0, and leaves the batch where its ascent alone would
     stop: its tangent norm below ``_EXIT_GRAD_NORM``, no acceptable step, or
     ``max_iterations``; with n <= _POLISH_MAX_PARAMS also unless its norm fell
-    by ``_STALL_CUT`` (fourfold) over the stall window, for the polish.  The
+    by ``_STALL_CUT`` (fourfold) over the stall window, for the polish, and
+    on ``SMOOTH_KINDS`` with n = 8 after one window: the L-BFGS climb reaches
+    the basin and Newton's quadratic convergence finishes there.  The
     line search is ``_tiered_rungs`` on ``_LADDER``: from 1 along a row's
     L-BFGS direction where it ascends, else from its secant step along the
     gradient, capped at ``_STEP_CAP``.  With ancillas a kinked measure's cap
@@ -578,14 +580,17 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     prev_r, prev_g = r, np.zeros_like(r)
     climbing = objective
     norms = np.empty((_STALL_WINDOW, k))
-    # Kinked measures with ancillas (n > 8): Raydan's global BB method.  A
-    # window of one value is the monotone test.
-    global_bb = objective.measure not in SMOOTH_KINDS and n > 8
+    # Kinked measures with ancillas (n > 8): Raydan's global BB method; a
+    # window of one value is the monotone test.  Smooth ones without: one
+    # stall window, then Newton, whose 2n-row Hessians cost more with ancillas.
+    smooth = objective.measure in SMOOTH_KINDS
+    global_bb = not smooth and n > 8
     cap, window = (1.0, _STALL_WINDOW) if global_bb else (_STEP_CAP, 1)
     recent = np.tile(value, (window, 1))
     # Per-row quasi-Newton memory; kinked measures keep none: the polish takes kinks.
-    pairs = np.zeros((k, _QN_MEMORY if objective.measure in SMOOTH_KINDS else 0, 2, n))
-    for iteration in range(cfg.max_iterations):
+    pairs = np.zeros((k, _QN_MEMORY if smooth else 0, 2, n))
+    last = _STALL_WINDOW if smooth and n <= 8 else math.inf
+    for iteration in range(min(cfg.max_iterations, last)):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
         direction, slope, trial_step = grad, norm**2, step
@@ -633,7 +638,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
             norms, recent = (a.take(keep, axis=1) for a in (norms, recent))
             if not rows.size:
                 break
-    # Rows still climbing stop at the iteration cap.
+    # Rows still climbing stop at the iteration bound.
     raw[rows], value[rows] = r, v
     return raw, value
 
@@ -651,19 +656,17 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
     return OptimizerConfig(restarts=64 if anc_a + anc_b >= 4 else 32)
 
 
-def _result(objective, raw: np.ndarray, i: int, converged: int, seed: int):
-    """The result for row ``i`` of ``raw``, its values read off its state."""
-    row = objective.take([i])
-    state_row = row._states(raw[i : i + 1])[0]
-    e0, ef = (float(e[0]) for e in row.entanglements(state_row))
-    return CapacityResult(
-        value=ef - e0,
-        optimal_state=PureState(state_row[0], row.partition),
-        initial_entanglement=e0,
-        final_entanglement=ef,
-        converged_restarts=converged,
-        best_restart_seed=seed,
-    )
+def _results(objective, raw: np.ndarray, rows, converged, seeds) -> list:
+    """The result for each row ``rows[j]`` of ``raw``, with ``converged[j]``
+    certified restarts and best seed ``seeds[j]``, its values read off its
+    state; all rows share one kernel call."""
+    part = objective.take(rows)
+    states = part._states(raw.take(rows, axis=0))[0]
+    e0, ef = (e.tolist() for e in part.entanglements(states))
+    return [
+        CapacityResult(f - i, PureState(state, part.partition), i, f, c, seed)
+        for state, i, f, c, seed in zip(states, e0, ef, converged, seeds)
+    ]
 
 
 def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=False):
@@ -706,18 +709,14 @@ def _block_results(objective, starts, seeds, cfg: OptimizerConfig) -> list:
     # restart neither counts nor wins.
     converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
     converged &= ~np.isnan(value)
-    results = []
-    for first in range(0, count * k, k):
-        certified = int(np.count_nonzero(converged[first : first + k]))
-        if certified == 0:
-            results.append(ConvergenceError(
-                f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-            ))
-            continue
-        # nanargmax returns the first maximum, which belongs to the lowest seed.
-        best = int(np.nanargmax(value[first : first + k]))
-        results.append(_result(objective, raw, first + best, certified, seeds[best]))
-    return results
+    certified = converged.reshape(count, k).sum(axis=1)
+    found = np.flatnonzero(certified)
+    # nanargmax returns the first maximum, which belongs to the lowest seed.
+    best = np.nanargmax(value.reshape(count, k)[found], axis=1)
+    picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
+    results = iter(_results(objective, raw, *picks) if found.size else ())
+    error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
+    return [next(results) if c else ConvergenceError(error) for c in certified]
 
 
 def _capacity(u, measure, anc_a, anc_b, cfg, product):
@@ -782,8 +781,8 @@ def minimize_initial_entanglement(
     shift, shortfall = 0.0, math.inf
     for _ in range(_MULTIPLIER_ROUNDS):
         raw, _ = _ascend(penalized, raw, cfg)
-        result = _result(
-            penalized, raw, 0, base.converged_restarts, base.best_restart_seed
+        (result,) = _results(
+            penalized, raw, [0], [base.converged_restarts], [base.best_restart_seed]
         )
         if result.value >= target:
             return result
@@ -920,7 +919,8 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     restarts of all rows climb, polish and certify as one block, and each
     row reduces its own restarts.  With workers > 1 each process takes one
     contiguous chunk of rows as its block.  A restart's result depends only
-    on its seed, config and gate, so rows come out the same for any chunking.
+    on its seed, config and gate, so rows come out the same for any chunking,
+    and a row whose gate repeats an earlier one's bytes copies that row.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -931,18 +931,27 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
         (label, _sweep_gate(gate, argument, measure, anc_a, anc_b))
         for label, gate, argument in rows
     ]
-    size = _pool_size(workers, len(built))
+    twins = {}
+    twin = [
+        i if isinstance(u, Exception) else twins.setdefault(u.tobytes(), i)
+        for i, (_, u) in enumerate(built)
+    ]
+    distinct = [row for i, row in enumerate(built) if twin[i] == i]
+    size = _pool_size(workers, len(distinct))
     tasks = [
-        (built[i * len(built) // size : (i + 1) * len(built) // size],
+        (distinct[i * len(distinct) // size : (i + 1) * len(distinct) // size],
          measure, anc_a, anc_b, cfg, product_start)
         for i in range(size)
     ]
     if size == 1:
-        return _sweep_block(tasks[0])
-    name = "ProcessPoolExecutor"  # one set on the module wins
-    executor = globals().get(name) or __getattr__(name)
-    with executor(max_workers=size) as pool:
-        return [row for block in pool.map(_sweep_block, tasks) for row in block]
+        searched = _sweep_block(tasks[0])
+    else:
+        name = "ProcessPoolExecutor"  # one set on the module wins
+        executor = globals().get(name) or __getattr__(name)
+        with executor(max_workers=size) as pool:
+            searched = [row for block in pool.map(_sweep_block, tasks) for row in block]
+    found = dict(zip(sorted(set(twin)), searched))
+    return [replace(found[t], alpha=label) for t, (label, _) in zip(twin, built)]
 
 
 def family_sweep(

@@ -384,6 +384,23 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     assert b"\r" not in out1.read_bytes()
 
 
+def test_sweep_repeated_triples_are_byte_identical_across_workers(tmp_path, capsys):
+    triples = ["0.3,0.2,0.1", "0.5,0.4,0.0", "0.3,0.2,0.1", "0.2,0.0,0.0", "0.5,0.4,0.0"]
+    args = ["sweep", "--measure", "c2", "--restarts", "4", "--seed", "5"]
+    for t in triples:
+        args += ["--alpha-triple", t]
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] == outputs[2]
+    lines = outputs[0].decode().splitlines()
+    assert len(lines) == 6
+    assert lines[3] == lines[1] and lines[5] == lines[2]
+
+
 def test_sweep_custom_triples(capsys):
     rc = main(
         [

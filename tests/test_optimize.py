@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,11 @@ import pytest
 import entcap
 from entcap import optimize
 from entcap.canonical import decompose, invariants_match, local_invariants
-from entcap.capacity import capacity_entropy_no_ancilla, capacity_linear_entropy
+from entcap.capacity import (
+    capacity_c2,
+    capacity_entropy_no_ancilla,
+    capacity_linear_entropy,
+)
 from entcap.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -440,19 +445,23 @@ def test_crawling_restarts_are_handed_to_the_polish():
 def test_linearly_crawling_restarts_are_handed_to_the_polish():
     # On this gate most c2 restarts cut their gradient norm by about x0.95
     # per step, which halves it over the stall window; only a fourfold cut
-    # per window sends them to the polish early.  That takes 38 gradients
-    # calls, where a halving test takes 245.
-    a1, a2 = np.pi / 16, 3 * np.pi / 64
-    u = build_canonical_unitary((a1, a2, a2))
-    objective = _RowCounter(
-        optimize._CutObjective(u, MeasureKind.CONCURRENCE_SQUARED, 0, 0)
-    )
-    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-    raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
-    assert sum(name == "gradients" for name, _ in objective.calls) <= 60
-    certificate = optimize._certificate_norms(objective.objective, raw)
-    assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
-    assert abs(value.max() - np.sin(2 * (a1 + a2))) <= 1e-12
+    # per window sent them to the polish early (38 gradients calls, where a
+    # halving test took 245).  c2 now climbs one stall window at most; the
+    # entropy keeps the stall test and takes 41 calls, 232 with a halving one.
+    triple = (np.pi / 16, 3 * np.pi / 64, 3 * np.pi / 64)
+    for measure, closed_form in (
+        (MeasureKind.CONCURRENCE_SQUARED, capacity_c2),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, capacity_entropy_no_ancilla),
+    ):
+        objective = _RowCounter(
+            optimize._CutObjective(build_canonical_unitary(triple), measure, 0, 0)
+        )
+        raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+        raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+        assert sum(name == "gradients" for name, _ in objective.calls) <= 60, measure
+        certificate = optimize._certificate_norms(objective.objective, raw)
+        assert np.all(certificate < optimize._CONVERGED_GRAD_NORM), measure
+        assert abs(value.max() - closed_form(triple).value) <= 1e-12, measure
 
 
 @pytest.mark.parametrize("anc", [1, 2])
@@ -499,6 +508,42 @@ def test_step_capped_rows_climb_along_quasi_newton_directions(alpha):
     certificate = optimize._certificate_norms(objective.objective, raw)
     assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
     assert np.all(np.abs(value - np.sin(2 * (a1 + a2))) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "measure, anc, climb_calls, closed_form",
+    [
+        (MeasureKind.CONCURRENCE_SQUARED, 0, None, capacity_c2),
+        (MeasureKind.LINEAR_ENTROPY, 0, None, capacity_linear_entropy),
+        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, 0, 32, capacity_entropy_no_ancilla),
+        (MeasureKind.LINEAR_ENTROPY, 1, 30, None),
+    ],
+    ids=["c2", "linear", "entropy", "linear-a11"],
+)
+def test_smooth_measures_climb_one_stall_window_then_polish(
+    measure, anc, climb_calls, closed_form
+):
+    # On this region-boundary gate the L-BFGS climb crawled between 1e-3
+    # and 1e-5 for 58 (c2) and 54 (linear entropy) gradients calls; without
+    # ancillas the smooth measures now climb one stall window and the Newton
+    # polish finishes.  The entropy, and the linear entropy with ancillas,
+    # whose Hessians of 2n gradient rows cost more, climb as before.
+    triple = (np.pi / 8, np.pi / 8, 0.0)
+    objective = _RowCounter(
+        optimize._CutObjective(build_canonical_unitary(triple), measure, anc, anc)
+    )
+    raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
+    raw, value = optimize._climb(objective, raw0, OptimizerConfig(restarts=8))
+    climb = sum(name == "gradients" for name, _ in objective.calls)
+    if climb_calls is None:
+        assert climb <= optimize._STALL_WINDOW
+    else:
+        assert climb == climb_calls
+    raw, value = optimize._newton_polish(objective.objective, raw, value)
+    certificate = optimize._certificate_norms(objective.objective, raw)
+    assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
+    if closed_form is not None:
+        assert np.all(np.abs(value - closed_form(triple).value) <= 1e-12), value
 
 
 class _RaySpy:
@@ -899,6 +944,34 @@ def test_sweep_row_without_a_certified_restart_is_an_error_row(monkeypatch):
     assert rows[1].converged_restarts == 0
     assert rows[0] == before[0]
     assert rows[2] == before[2]
+
+
+def test_sweep_searches_each_distinct_gate_once(monkeypatch):
+    # A row depends only on its gate, seeds and config, so a repeated gate
+    # searches once and its repeat copies the row under its own label; error
+    # rows stay their own.  On the CNOT family the builder clamps a slightly
+    # too large alpha to pi/4.
+    c2, real, searched = MeasureKind.CONCURRENCE_SQUARED, optimize._capacities, []
+
+    def spy(gates, *args):
+        searched.extend(np.asarray(u).tobytes() for u in gates)
+        return real(gates, *args)
+
+    triples = [(0.3, 0.2, 0.1), (0.5, 0.0, 0.0), (0.3, 0.2, 0.1), (0.5, 0.0, 0.0),
+               (0.6, 0.3, 0.1), (0.3, 0.2, 0.1), (0.4, math.nan, 0.0), (0.4, math.nan, 0.0)]
+    alphas = [0.2, QUARTER_PI, QUARTER_PI + 5e-10]
+    fresh = custom_sweep(triples[:2] + triples[4:5], c2, cfg=FAST)
+    monkeypatch.setattr(optimize, "_capacities", spy)
+    rows = custom_sweep(triples, c2, cfg=FAST)
+    assert len(searched) == len(set(searched)) == 3
+    assert rows[:2] + rows[4:5] == fresh
+    assert rows[2] == rows[5] == rows[0] and rows[3] == rows[1]
+    assert rows[6].error and rows[7].error and math.isnan(rows[7].capacity)
+    searched.clear()
+    rows = family_sweep(FamilyKind.CNOT, alphas, c2, cfg=FAST)
+    assert len(searched) == len(set(searched)) == 2
+    assert [row.alpha for row in rows] == alphas
+    assert rows[2] == replace(rows[1], alpha=alphas[2])
 
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(monkeypatch):

@@ -18,13 +18,14 @@ value change, and exits 1 if any does.  ``--suite`` picks suites by name
   at pi/8, 3pi/16 and pi/4; 0+0, 1+1 and 2+2 at the default restarts);
 - ``criterion3``: criterion 3's grid (its 65 distinct triples) with the
   entropy, c2, linear entropy and concurrence, free at 32 restarts and
-  product starts at 8;
+  product starts at 8, plus the CLI sweep's setting: free c2 and linear
+  entropy at 8 restarts, each record the sweep's row bit for bit;
 - ``ancilla``: the entropy on 18 gates (CNOT, DCNOT and SWAP families at
   pi/16, pi/8, 3pi/16 and pi/4, and 6 Haar gates), free at 1+1 with 16
   restarts and 2+2 with 8, at master seeds 0 and 1, plus product starts at
   1+1 and 2+2;
-- ``minimize``: ``minimize_initial_entanglement`` with the entropy at 1+1 on
-  three gates;
+- ``minimize``: ``minimize_initial_entanglement`` on three gates, with the
+  entropy at 1+1 and with c2 and the linear entropy at 0+0;
 - ``smoke``: two 0+0 searches, to check the script itself.
 """
 from __future__ import annotations
@@ -98,6 +99,9 @@ def _criterion3():
             for start, restarts in (("free", 32), ("product", 8)):
                 key = f"criterion3/{measure}/{start}/{name}"
                 yield _search(key, gate, measure, 0, start, restarts)
+            if measure in ("c2", "linear"):
+                key = f"criterion3/{measure}/free8/{name}"
+                yield _search(key, gate, measure, 0, "free", 8)
 
 
 def _ancilla_gates():
@@ -121,12 +125,15 @@ def _ancilla():
 
 
 def _minimize():
+    cfg = OptimizerConfig(restarts=8)
     for family in FAMILIES:
         gate = build_canonical_unitary(FAMILIES[family](math.pi / 8))
-        cfg = OptimizerConfig(restarts=8)
-        yield f"minimize/{family}/pi/8/a11", (
-            lambda gate=gate, cfg=cfg: minimize_initial_entanglement(gate, ENTROPY, 1, 1, cfg)
-        )
+        for key, measure, anc in (("a11", "entropy", 1), ("a00/c2", "c2", 0),
+                                  ("a00/linear", "linear", 0)):
+            yield f"minimize/{family}/pi/8/{key}", (
+                lambda gate=gate, kind=MEASURES[measure], anc=anc:
+                minimize_initial_entanglement(gate, kind, anc, anc, cfg)
+            )
 
 
 def _smoke():
