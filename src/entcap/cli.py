@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes the sweep uses; each takes one contiguous chunk of rows, "
-        "and the output bytes do not depend on this count",
+        help="processes the sweep uses; each takes one contiguous chunk of the "
+        "distinct gates, and the output bytes do not depend on this count",
     )
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub.set_defaults(handler=_cmd_sweep)

@@ -8,11 +8,12 @@ imaginary parts, then normalization); the search is projected ascent on
 the unit sphere of parameters, along the gradient or, on the smooth
 measures (c2, linear entropy), along limited-memory BFGS directions; a
 product start's row holds the state's two factors instead.  One line
-search, ``_tiered_rungs``, serves the climb and the polish: a row tries
-step ladders in tiers until one moves it, the best Armijo-acceptable rung
-of a tier wins, no step is at or below ``_STEP_TOLERANCE``, and on the
-smooth measures the first tier is a full L-BFGS (climb) or Newton
-(polish) step alone.  With ancillas the entropy climbs by Raydan's global
+search, ``_tiered_rungs``, serves the climb and the polish: a row searches
+along one direction, trying step ladders in tiers until one moves it, the
+best Armijo-acceptable rung of a tier wins, and no step is at or below
+``_STEP_TOLERANCE``.  The climb tries its first rung alone first; the
+polish tries only Newton rungs, on the smooth measures the full Newton
+step alone first.  With ancillas the entropy climbs by Raydan's global
 Barzilai-Borwein method: a trial need only beat its row's lowest value over
 the stall window, and the secant step is capped at 1, not 0.2.  Two-qubit
 registers keep the monotone test, under which more restarts certify at
@@ -37,8 +38,8 @@ A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
 certifies together, and as rows leave, each loop carries the objective
 restricted to the rows it still holds.  A single search is the one-gate
-case of the same path.  Sweep workers each take a contiguous chunk of rows
-as their block.
+case of the same path.  A sweep searches each distinct gate once, and its
+workers each take a contiguous chunk of those gates as their block.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and its result depends only on that seed, the
@@ -53,7 +54,7 @@ import enum
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -417,49 +418,28 @@ def _certificate_norms(objective, raw: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(grad, grad))
 
 
-def _best_rungs(objective, raw, reference, direction, slope, ladders):
-    """Best acceptable step of every row along its own direction.
+def _tiered_rungs(objective, raw, value, tried, direction, slope, steps, tiers,
+                  reference=None):
+    """The line search of the climb and the polish: row i, where ``tried[i]``
+    holds, steps along its one ``direction[i]`` by ``steps[i]`` times the
+    falling rungs of each tier of ``tiers`` in turn, until a tier moves it.
 
-    Row i tries the steps ``ladders[i]`` along ``direction[i]``; a trial is
-    acceptable if it beats its Armijo reference ``reference[i]`` by the
-    Armijo share of the rise that the directional derivative ``slope[i]``
-    predicts; no step at or below ``_STEP_TOLERANCE`` is acceptable.  All
-    trials share one ``values`` call, with each row's trials on its own row.
-    Returns (found, raw, value); entries of rows with found False are junk.
-
-    The best objective wins, not the longest step: the longest barely-
-    improving step stops contracting near an optimum.
-    """
-    trials = raw[:, None] + ladders[..., None] * direction.reshape(raw.shape)[:, None]
-    trials /= _row_norms(trials)
-    trial_vals = objective.values(trials)
-    accepted = (ladders > _STEP_TOLERANCE) & (
-        trial_vals >= reference[:, None] + _ARMIJO_SLOPE * ladders * slope[:, None]
-    )
-    if accepted.shape[1] == 1:  # one trial a row: nothing to choose
-        return accepted[:, 0], trials[:, 0], trial_vals[:, 0]
-    best = np.argmax(np.where(accepted, trial_vals, -np.inf), axis=1)
-    rows = np.arange(len(raw))
-    return accepted.any(axis=1), trials[rows, best], trial_vals[rows, best]
-
-
-def _tiered_rungs(objective, raw, value, tiers, reference=None):
-    """The line search of the climb and the polish: ``_best_rungs`` on each
-    of the tiers (tried, direction, slope, steps, rungs) in turn, against
-    each row's Armijo ``reference`` (its value by default).
-
-    A row tries a tier where ``tried`` holds and no earlier tier moved it;
-    its ladder is its step times the tier's falling rungs, cut past the last
-    rung where a trying row has a step above ``_STEP_TOLERANCE``, so a tier
-    with no such row makes no ``values`` call.  Returns (moved, raw, value);
-    a row no tier moved keeps its own.
+    A trial is acceptable if it beats the row's Armijo ``reference`` (its
+    value by default) by the Armijo share of the rise that the directional
+    derivative ``slope[i]`` predicts; no step at or below ``_STEP_TOLERANCE``
+    is acceptable.  The best acceptable rung of a tier wins, not the longest:
+    the longest barely-improving step stops contracting near an optimum.  A
+    tier's ladder is cut past the last rung where a trying row has a step
+    above the tolerance, so a tier with no such row makes no ``values`` call;
+    otherwise its trials share one call, each row's on its own row.  Returns
+    (moved, raw, value); a row no tier moved keeps its own.
     """
     moved = np.zeros(len(raw), dtype=bool)
     reference = value if reference is None else reference
-    for tried, direction, slope, steps, rungs in tiers:
+    for rungs in tiers:
         rows = np.flatnonzero(tried & ~moved)
         if not rows.size:
-            continue
+            break
         # Every row tries the tier on views, or the trying rows on copies.
         every = rows.size == len(raw)
         r, ref, d, s, step = (
@@ -469,10 +449,17 @@ def _tiered_rungs(objective, raw, value, tiers, reference=None):
         cut = np.count_nonzero(step.max() * rungs > _STEP_TOLERANCE)
         if not cut:
             continue
-        found, new_r, new_v = _best_rungs(
-            objective if every else objective.take(rows), r, ref, d, s,
-            step[:, None] * rungs[:cut],
+        ladders = step[:, None] * rungs[:cut]
+        trials = r[:, None] + ladders[..., None] * d[:, None]
+        trials /= _row_norms(trials)
+        trial_vals = (objective if every else objective.take(rows)).values(trials)
+        accepted = (ladders > _STEP_TOLERANCE) & (
+            trial_vals >= ref[:, None] + _ARMIJO_SLOPE * ladders * s[:, None]
         )
+        best = np.arange(rows.size), np.argmax(
+            np.where(accepted, trial_vals, -np.inf), axis=1
+        )
+        found, new_r, new_v = accepted.any(axis=1), trials[best], trial_vals[best]
         if every and found.all():  # no row is left for a later tier
             return found, new_r, new_v
         rows = rows[found]
@@ -486,15 +473,14 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
 
     Saturating optima sit on nearly flat ridges where gradient steps crawl;
     damped Newton steps restricted to the negative-curvature subspace contract
-    the gradient below the convergence threshold.  On a smooth measure
-    (``SMOOTH_KINDS``) a row tries the full Newton step alone first, as the
-    climb tries its first rung; then, and on every other measure first, the
-    best rung of the Newton ladder.  When the quadratic model misjudges the
-    scale (sharp apexes), plain gradient rungs take over.  A round makes one
-    ``gradients`` call, one for the rows' Hessians (2n rows each), one
-    batched ``eigh`` and one ``_tiered_rungs`` over those three tiers; a row
-    leaves when its gradient is below ``_EXIT_GRAD_NORM``, the climb's own
-    exit, or no tier moves it.
+    the gradient below the convergence threshold.  A row searches along its
+    Newton direction only: on a smooth measure (``SMOOTH_KINDS``) the full
+    Newton step alone first, as the climb tries its first rung; then, and on
+    every other measure first, the best rung of the Newton ladder.  A round
+    makes one ``gradients`` call, one for the rows' Hessians (2n rows each),
+    one batched ``eigh`` and one ``_tiered_rungs``; a row leaves when its
+    gradient is below ``_EXIT_GRAD_NORM``, the climb's own exit, when it has
+    no ascending Newton direction, or when no Newton rung moves it.
     """
     raw, value = raw.copy(), value.copy()
     rows, rounds = np.arange(raw.shape[0]), 0
@@ -518,14 +504,12 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         newton = _tangent(np.einsum("mij,mj->mi", eigenvectors, coeff), r)
         newton /= np.maximum(np.sqrt(_dots(newton, newton)), 1.0)[:, None]
         newton_slope = _dots(grad, newton)
-        ones = np.ones(rows.size)
         newton_ok = keep.any(axis=1) & (newton_slope > 0.0)
-        smooth = newton_ok & (polishing.measure in SMOOTH_KINDS)
-        moved, raw[rows], value[rows] = _tiered_rungs(polishing, r, v, (
-            (smooth, newton, newton_slope, ones, _POLISH_LADDER[:1]),
-            (newton_ok, newton, newton_slope, ones, _POLISH_LADDER),
-            (True, grad, norm**2, ones, _POLISH_LADDER),
-        ))
+        smooth = polishing.measure in SMOOTH_KINDS
+        moved, raw[rows], value[rows] = _tiered_rungs(
+            polishing, r, v, newton_ok, newton, newton_slope, np.ones(rows.size),
+            (_POLISH_LADDER[:1], _POLISH_LADDER) if smooth else (_POLISH_LADDER,),
+        )
         rows = rows[moved]
     return raw, value
 
@@ -618,10 +602,11 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         # all 8 rungs costs 8 trials a row, and the first is usually
         # acceptable.  Along grad the directional derivative is its norm^2.
         live = ~(norm < _EXIT_GRAD_NORM)
-        moved, r, v = _tiered_rungs(climbing, r, v, [
-            (live, direction, slope, trial_step, rungs)
-            for rungs in (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:])
-        ], recent.min(axis=0))
+        moved, r, v = _tiered_rungs(
+            climbing, r, v, live, direction, slope, trial_step,
+            (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:]),
+            recent.min(axis=0),
+        )
         recent[iteration % window] = v
         stop = ~moved
         if n <= _POLISH_MAX_PARAMS:
@@ -859,40 +844,9 @@ def family_unitary(family: GateFamily) -> np.ndarray:
     return build_canonical_unitary(clamped.canonical_alpha())
 
 
-def _sweep_gate(gate, argument, measure, anc_a, anc_b):
-    """A sweep row's gate, checked as its search would check it, or the
-    domain error that makes the row an error row."""
-    try:
-        u = gate(argument)
-        _register_dims(measure, anc_a, anc_b)
-        return _require_unitary(u)
-    except (EntcapError, ValueError) as exc:
-        # Domain errors are recorded per row instead of aborting the sweep;
-        # anything else is a bug and propagates.
-        return exc
-
-
-def _sweep_block(task) -> list[SweepRow]:
-    """The rows of one chunk of a sweep: its gates search as one block."""
-    rows, measure, anc_a, anc_b, cfg, product_start = task
-    gates = [u for _, u in rows if not isinstance(u, Exception)]
-    found = iter(
-        _capacities(gates, measure, anc_a, anc_b, cfg, product_start) if gates else ()
-    )
-    out = []
-    for label, u in rows:
-        result = u if isinstance(u, Exception) else next(found)
-        if isinstance(result, Exception):
-            out.append(SweepRow(label, math.nan, math.nan, math.nan, 0, str(result)))
-        else:
-            out.append(SweepRow(
-                alpha=label,
-                capacity=result.value,
-                initial_entanglement=result.initial_entanglement,
-                final_entanglement=result.final_entanglement,
-                converged_restarts=result.converged_restarts,
-            ))
-    return out
+def _search_task(task) -> list:
+    """``_capacities`` of one pool task's arguments."""
+    return _capacities(*task)
 
 
 def _pool_size(workers: int, rows: int) -> int:
@@ -915,43 +869,59 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     """Capacity of each (label, gate builder, builder argument) row.
 
     Every row's gate is built and checked first; a domain error there makes
-    that row an error row.  The other rows then search in lockstep: all
-    restarts of all rows climb, polish and certify as one block, and each
-    row reduces its own restarts.  With workers > 1 each process takes one
-    contiguous chunk of rows as its block.  A restart's result depends only
-    on its seed, config and gate, so rows come out the same for any chunking,
-    and a row whose gate repeats an earlier one's bytes copies that row.
+    that row an error row.  Each distinct gate (by its bytes) then searches
+    once, all in lockstep: all restarts of all gates climb, polish and
+    certify as one block, and each gate reduces its own restarts.  With
+    workers > 1 each process takes one contiguous chunk of the distinct
+    gates as its block.  A restart's result depends only on its seed, config
+    and gate, so rows come out the same for any chunking, and a row whose
+    gate repeats an earlier one's reports the same search.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
     if not rows:
         raise ValueError("need at least one grid point")
     cfg = cfg or _default_config(anc_a, anc_b)
-    built = [
-        (label, _sweep_gate(gate, argument, measure, anc_a, anc_b))
-        for label, gate, argument in rows
-    ]
-    twins = {}
-    twin = [
-        i if isinstance(u, Exception) else twins.setdefault(u.tobytes(), i)
-        for i, (_, u) in enumerate(built)
-    ]
-    distinct = [row for i, row in enumerate(built) if twin[i] == i]
+    built, gates = [], {}
+    for label, gate, argument in rows:
+        try:
+            u = gate(argument)
+            _register_dims(measure, anc_a, anc_b)
+            u = _require_unitary(u)
+        except (EntcapError, ValueError) as exc:
+            # Domain errors are recorded per row instead of aborting the sweep;
+            # anything else is a bug and propagates.
+            built.append((label, exc))
+        else:
+            key = u.tobytes()
+            built.append((label, key))
+            gates.setdefault(key, u)
+    distinct = list(gates.values())
     size = _pool_size(workers, len(distinct))
     tasks = [
         (distinct[i * len(distinct) // size : (i + 1) * len(distinct) // size],
          measure, anc_a, anc_b, cfg, product_start)
-        for i in range(size)
+        for i in range(size) if distinct
     ]
     if size == 1:
-        searched = _sweep_block(tasks[0])
+        blocks = list(map(_search_task, tasks))
     else:
         name = "ProcessPoolExecutor"  # one set on the module wins
         executor = globals().get(name) or __getattr__(name)
         with executor(max_workers=size) as pool:
-            searched = [row for block in pool.map(_sweep_block, tasks) for row in block]
-    found = dict(zip(sorted(set(twin)), searched))
-    return [replace(found[t], alpha=label) for t, (label, _) in zip(twin, built)]
+            blocks = list(pool.map(_search_task, tasks))
+    found = dict(zip(gates, (result for block in blocks for result in block)))
+    out = []
+    for label, key in built:
+        result = key if isinstance(key, Exception) else found[key]
+        if isinstance(result, Exception):
+            out.append(SweepRow(label, math.nan, math.nan, math.nan, 0, str(result)))
+        else:
+            out.append(SweepRow(
+                label, result.value, result.initial_entanglement,
+                result.final_entanglement, result.converged_restarts,
+            ))
+    return out
 
 
 def family_sweep(
@@ -966,10 +936,11 @@ def family_sweep(
 ) -> list[SweepRow]:
     """Capacity at each alpha of a family grid.
 
-    All restarts of all rows search as one lockstep block, and each row
-    reduces its own; with workers > 1 each process takes one contiguous
-    chunk of rows as its block.  Every row equals ``numeric_capacity`` on
-    its gate bit for bit, so results are identical for any worker count.
+    All restarts of all distinct gates search as one lockstep block, and
+    each gate reduces its own; with workers > 1 each process takes one
+    contiguous chunk of those gates as its block.  Every row equals
+    ``numeric_capacity`` on its gate bit for bit, so results are identical
+    for any worker count.
     """
     rows = [(float(a), family_unitary, GateFamily(kind, float(a))) for a in alphas]
     return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)

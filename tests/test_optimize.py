@@ -211,33 +211,36 @@ def test_benchmark_wrap_points_exist():
         optimize.NoSuchName
 
 
+class SerialPool:
+    """A stand-in process pool that maps in this process; ``sizes`` records
+    the size of every pool opened."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 def test_sweep_uses_the_pool_set_on_the_module(monkeypatch):
     # The pool is imported on first use, yet a pool set on the module (as
     # the benchmark's tracer sets one) is the one a sweep opens.
-    sizes = []
-
-    class SerialPool:
-        """A stand-in process pool that maps in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
+    monkeypatch.setattr(SerialPool, "sizes", [])
     monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(optimize, "_pool_size", lambda workers, rows: 2)
     grid = [0.1, QUARTER_PI]
     rows = family_sweep(
         FamilyKind.CNOT, grid, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, workers=2
     )
-    assert sizes == [2]
+    assert SerialPool.sizes == [2]
     assert rows == family_sweep(
         FamilyKind.CNOT, grid, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
     )
@@ -260,18 +263,20 @@ class _DistanceTo:
     "target, found, x0",
     [
         # The only acceptable rungs, 1e-10 and 5e-11, are at or below the
-        # step tolerance.
+        # step tolerance, so the ladder is cut past them.
         (5e-11, False, None),
         # 1e-10 would come closest, but 2e-10 is the best rung above it.
         (1.2e-10, True, 2e-10),
     ],
 )
 def test_best_rungs_never_steps_at_or_below_tolerance(target, found, x0):
+    # One tier: the step 2e-10 times the rungs 1, 1/2 and 1/4.
     assert optimize._STEP_TOLERANCE == 1e-10
     raw = np.array([[0.0, 1.0]])
-    ok, new_raw, new_value = optimize._best_rungs(
-        _DistanceTo(target), raw, np.array([-target]), np.array([1.0, 0.0]),
-        np.zeros(1), np.array([[2e-10, 1e-10, 5e-11]]),
+    ok, new_raw, new_value = optimize._tiered_rungs(
+        _DistanceTo(target), raw, np.array([-target]), np.ones(1, dtype=bool),
+        np.array([[1.0, 0.0]]), np.zeros(1), np.array([2e-10]),
+        (np.array([1.0, 0.5, 0.25]),),
     )
     assert ok[0] == found
     if found:
@@ -305,9 +310,10 @@ def test_climb_moves_through_halving_rungs_when_the_ladder_fails():
     value0 = objective.values(raw0)
     grad = optimize._tangent(objective.gradients(raw0), raw0)
     # The first iteration's 8 rungs, from the initial step 0.1, all fail.
-    ladder = 0.1 * optimize._LADDER[None, : optimize._ASCENT_RUNGS]
-    found, _, _ = optimize._best_rungs(
-        objective, raw0, value0, grad, np.sum(grad**2, axis=1), ladder
+    found, _, _ = optimize._tiered_rungs(
+        objective, raw0, value0, np.ones(1, dtype=bool), grad,
+        np.sum(grad**2, axis=1), np.full(1, 0.1),
+        (optimize._LADDER[: optimize._ASCENT_RUNGS],),
     )
     assert not found[0]
     _, value = optimize._climb(objective, raw0, OptimizerConfig(max_iterations=1))
@@ -800,6 +806,43 @@ def test_polish_returns_when_no_row_can_move():
     assert np.array_equal(polished_value, value)
 
 
+class _Linear:
+    """c.x of the unit row x, with the constant gradient c: every
+    central-difference Hessian is exactly 0, so no row has a Newton
+    direction, while the gradient still points uphill."""
+
+    c = np.array([0.0, 0.0, 3.0, 1.0])
+
+    def __init__(self, measure):
+        self.measure = measure
+
+    def take(self, rows):
+        return self
+
+    def values(self, raw):
+        return raw @ self.c / np.linalg.norm(raw, axis=-1)
+
+    def gradients(self, raw):
+        return np.broadcast_to(self.c, raw.shape).copy()
+
+
+@pytest.mark.parametrize(
+    "measure", [MeasureKind.CONCURRENCE_SQUARED, MeasureKind.ENTROPY_OF_ENTANGLEMENT]
+)
+def test_polish_steps_only_along_newton_directions(measure):
+    # Both rows could climb along their gradients, but the polish tries
+    # Newton rungs only, so a row without a Newton direction leaves as it
+    # came.
+    objective = _Linear(measure)
+    raw = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
+    value = objective.values(raw)
+    grad = optimize._tangent(objective.gradients(raw), raw)
+    assert (np.sqrt(np.sum(grad**2, axis=1)) >= optimize._EXIT_GRAD_NORM).all()
+    polished_raw, polished_value = optimize._newton_polish(objective, raw, value)
+    assert np.array_equal(polished_raw, raw)
+    assert np.array_equal(polished_value, value)
+
+
 def test_concurrence_rejects_ancillas():
     with pytest.raises(UnsupportedMeasureError):
         numeric_capacity(CNOT, MeasureKind.CONCURRENCE, anc_a=1, cfg=FAST)
@@ -962,16 +1005,43 @@ def test_sweep_searches_each_distinct_gate_once(monkeypatch):
     alphas = [0.2, QUARTER_PI, QUARTER_PI + 5e-10]
     fresh = custom_sweep(triples[:2] + triples[4:5], c2, cfg=FAST)
     monkeypatch.setattr(optimize, "_capacities", spy)
-    rows = custom_sweep(triples, c2, cfg=FAST)
+    serial = custom_sweep(triples, c2, cfg=FAST)
     assert len(searched) == len(set(searched)) == 3
-    assert rows[:2] + rows[4:5] == fresh
-    assert rows[2] == rows[5] == rows[0] and rows[3] == rows[1]
-    assert rows[6].error and rows[7].error and math.isnan(rows[7].capacity)
+    assert serial[:2] + serial[4:5] == fresh
+    assert serial[2] == serial[5] == serial[0] and serial[3] == serial[1]
+    assert serial[6].error and serial[7].error and math.isnan(serial[7].capacity)
     searched.clear()
     rows = family_sweep(FamilyKind.CNOT, alphas, c2, cfg=FAST)
     assert len(searched) == len(set(searched)) == 2
     assert [row.alpha for row in rows] == alphas
     assert rows[2] == replace(rows[1], alpha=alphas[2])
+    # The same twins and error rows through a pool of two in-process chunks.
+    searched.clear()
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(optimize, "_pool_size", lambda workers, rows: 2)
+    assert custom_sweep(triples, c2, cfg=FAST, workers=2) == serial
+    assert SerialPool.sizes == [2]
+    assert len(searched) == len(set(searched)) == 3
+
+
+def test_sweep_of_error_rows_runs_no_search(monkeypatch):
+    # NaN triples are not unitary, and the concurrence has no ancillas: with
+    # no gate left to search, neither a search nor a pool starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(optimize, "_capacities", refuse)
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", refuse)
+    nan = [(math.nan, math.nan, math.nan), (0.4, math.nan, 0.0)]
+    rows = custom_sweep(nan, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, workers=2)
+    rows += family_sweep(
+        FamilyKind.CNOT, [0.1, 0.3], MeasureKind.CONCURRENCE, 1, 1, cfg=FAST, workers=2
+    )
+    assert math.isnan(rows[0].alpha)
+    assert [row.alpha for row in rows[1:]] == [0.4, 0.1, 0.3]
+    assert all(row.error and math.isnan(row.capacity) for row in rows)
+    assert all(row.converged_restarts == 0 for row in rows)
 
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(monkeypatch):

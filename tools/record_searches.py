@@ -11,7 +11,8 @@ a change moved:
     PYTHONPATH=src python3 tools/record_searches.py --compare parent.json change.json
 
 ``--compare`` lists every record that differs, with its certified counts and
-value change, and exits 1 if any does.  ``--suite`` picks suites by name
+value change, and exits 1 if any does; it reads only the two files, so it
+runs without ``entcap`` importable.  ``--suite`` picks suites by name
 (all but ``smoke`` by default):
 
 - ``criterion7``: criterion 7's 18 entropy searches (DCNOT and SWAP families
@@ -39,43 +40,42 @@ import warnings
 
 import numpy as np
 
-from entcap.errors import EntcapError
-from entcap.measures import MeasureKind
-from entcap.optimize import (
-    OptimizerConfig,
-    minimize_initial_entanglement,
-    numeric_capacity,
-    product_start_capacity,
-)
-from entcap.qcore import build_canonical_unitary, haar_random_unitary
-
-ENTROPY = MeasureKind.ENTROPY_OF_ENTANGLEMENT
-MEASURES = {
-    "entropy": ENTROPY,
-    "c2": MeasureKind.CONCURRENCE_SQUARED,
-    "linear": MeasureKind.LINEAR_ENTROPY,
-    "concurrence": MeasureKind.CONCURRENCE,
-}
+# entcap is imported only where searches are set up and run: ``--compare``
+# reads two JSON files and needs none of it.  Measures are named by their
+# MeasureKind values, searches by their entcap.optimize functions.
+MEASURES = ("entropy", "c2", "linear", "concurrence")
 FAMILIES = {
     "cnot": lambda a: (a, 0.0, 0.0),
     "dcnot": lambda a: (a, a, 0.0),
     "swap": lambda a: (a, a, a),
 }
-SEARCHES = {"free": numeric_capacity, "product": product_start_capacity}
+SEARCHES = {"free": "numeric_capacity", "product": "product_start_capacity"}
+
+
+def _gate(triple):
+    """The canonical gate of an angle triple."""
+    from entcap.qcore import build_canonical_unitary
+
+    return build_canonical_unitary(triple)
 
 
 def _search(key, gate, measure, anc, start="free", restarts=None, seed=0):
     """One suite entry: (key, thunk running the search)."""
-    cfg = None if restarts is None else OptimizerConfig(restarts=restarts, master_seed=seed)
-    run = SEARCHES[start]
-    return key, lambda: run(gate, MEASURES[measure], anc, anc, cfg)
+    from entcap import optimize
+    from entcap.measures import MeasureKind
+
+    cfg = None if restarts is None else optimize.OptimizerConfig(
+        restarts=restarts, master_seed=seed
+    )
+    run = getattr(optimize, SEARCHES[start])
+    return key, lambda: run(gate, MeasureKind(measure), anc, anc, cfg)
 
 
 def _criterion7():
     for family in ("dcnot", "swap"):
         for label, alpha in (("pi/8", math.pi / 8), ("3pi/16", 3 * math.pi / 16),
                              ("pi/4", math.pi / 4)):
-            gate = build_canonical_unitary(FAMILIES[family](alpha))
+            gate = _gate(FAMILIES[family](alpha))
             for anc in (0, 1, 2):
                 yield _search(f"criterion7/{family}/{label}/a{anc}{anc}", gate, "entropy", anc)
 
@@ -94,7 +94,7 @@ def _criterion3_triples():
 def _criterion3():
     for measure in MEASURES:
         for triple in _criterion3_triples():
-            gate = build_canonical_unitary(triple)
+            gate = _gate(triple)
             name = ",".join(f"{a:.6f}" for a in triple)
             for start, restarts in (("free", 32), ("product", 8)):
                 key = f"criterion3/{measure}/{start}/{name}"
@@ -105,11 +105,13 @@ def _criterion3():
 
 
 def _ancilla_gates():
+    from entcap.qcore import haar_random_unitary
+
     angles = (("pi/16", math.pi / 16), ("pi/8", math.pi / 8),
               ("3pi/16", 3 * math.pi / 16), ("pi/4", math.pi / 4))
     for family, triple_of in FAMILIES.items():
         for label, alpha in angles:
-            yield f"{family}/{label}", build_canonical_unitary(triple_of(alpha))
+            yield f"{family}/{label}", _gate(triple_of(alpha))
     for seed in range(6):
         yield f"haar{seed}", haar_random_unitary(4, 100 + seed)
 
@@ -125,19 +127,22 @@ def _ancilla():
 
 
 def _minimize():
+    from entcap.measures import MeasureKind
+    from entcap.optimize import OptimizerConfig, minimize_initial_entanglement
+
     cfg = OptimizerConfig(restarts=8)
     for family in FAMILIES:
-        gate = build_canonical_unitary(FAMILIES[family](math.pi / 8))
+        gate = _gate(FAMILIES[family](math.pi / 8))
         for key, measure, anc in (("a11", "entropy", 1), ("a00/c2", "c2", 0),
                                   ("a00/linear", "linear", 0)):
             yield f"minimize/{family}/pi/8/{key}", (
-                lambda gate=gate, kind=MEASURES[measure], anc=anc:
+                lambda gate=gate, kind=MeasureKind(measure), anc=anc:
                 minimize_initial_entanglement(gate, kind, anc, anc, cfg)
             )
 
 
 def _smoke():
-    gate = build_canonical_unitary(FAMILIES["dcnot"](math.pi / 8))
+    gate = _gate(FAMILIES["dcnot"](math.pi / 8))
     yield _search("smoke/entropy/dcnot/pi/8", gate, "entropy", 0, "free", 4)
     yield _search("smoke/c2/dcnot/pi/8", gate, "c2", 0, "product", 4)
 
@@ -153,6 +158,8 @@ SUITES = {
 
 def record(run) -> dict:
     """The record of one search: its result's fingerprint, or its error."""
+    from entcap.errors import EntcapError
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
