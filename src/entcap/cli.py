@@ -106,11 +106,10 @@ def _matrix_from_json(text: str) -> np.ndarray:
     return out
 
 
-def parse_matrix_file(
-    path: str, format: str | None = None, unitary_tol: float = 1e-8
-) -> np.ndarray:
-    """Load a 4x4 unitary from disk; format inferred from the extension
-    unless given explicitly.
+def parse_matrix_file(path: str, unitary_tol: float = 1e-8) -> np.ndarray:
+    """Load a 4x4 unitary from disk: JSON when the first non-blank character
+    is ``{`` or ``[``, which no token of the text form starts with, and the
+    text form otherwise.
 
     The matrix must pass the package's unitarity check at ``unitary_tol``
     (max entry of U^dagger U - I).  One that passes there but not at the
@@ -118,11 +117,11 @@ def parse_matrix_file(
     factor, so that every later check holds; an already unitary matrix is
     returned unchanged.
     """
-    if format is None:
-        format = "json" if path.lower().endswith(".json") else "txt"
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops a byte-order mark, which would hide the first character.
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
-    u = _matrix_from_json(text) if format == "json" else _matrix_from_txt(text)
+    is_json = text.lstrip().startswith(("{", "["))
+    u = _matrix_from_json(text) if is_json else _matrix_from_txt(text)
     _require_unitary(u, unitary_tol)
     try:
         return _require_unitary(u)
@@ -132,7 +131,7 @@ def parse_matrix_file(
 
 
 def _load_matrix(args) -> np.ndarray:
-    return parse_matrix_file(args.matrix, args.format, args.unitary_tol)
+    return parse_matrix_file(args.matrix, args.unitary_tol)
 
 
 def _config_from(args):
@@ -260,13 +259,7 @@ def _triple(text: str):
 
 
 def _add_matrix_flags(sub) -> None:
-    sub.add_argument("--matrix", required=True, help="path to a 4x4 unitary")
-    sub.add_argument(
-        "--format",
-        choices=("json", "txt"),
-        default=None,
-        help="matrix file format (default: inferred from the extension)",
-    )
+    sub.add_argument("--matrix", required=True, help="4x4 unitary file: JSON or text")
     sub.add_argument(
         "--unitary-tol",
         type=float,

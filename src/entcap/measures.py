@@ -118,9 +118,11 @@ def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, gradient=False
     return grad.reshape(m, -1)
 
 
-def evaluate(kind: MeasureKind, psi, keep: str = "A") -> float:
+def evaluate(kind: MeasureKind, psi) -> float:
     """Measure one state across its A|B cut, as one row of ``entanglement_batch``.
 
+    A pure state's entanglement is the same from either party (its Schmidt
+    decomposition), so the state is always split with A's qubits as rows.
     ``psi`` is a PureState or a raw amplitude vector, split by
     ``default_partition``; a raw vector is checked once, with no PureState
     built.  Concurrence variants need one qubit per party; on a larger
@@ -137,7 +139,7 @@ def evaluate(kind: MeasureKind, psi, keep: str = "A") -> float:
             )
         require_unit_norm(amps)
         labels = default_partition(n)
-    t = split_amplitudes(amps, labels, keep)
+    t = split_amplitudes(amps, labels, "A")
     return float(entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0])
 
 
@@ -146,36 +148,38 @@ def concurrence(psi) -> float:
     return evaluate(MeasureKind.CONCURRENCE, psi)
 
 
-def entropy_of_entanglement(psi, keep: str = "A") -> float:
+def entropy_of_entanglement(psi) -> float:
     """Von Neumann entropy of one party's reduced state, in ebits."""
-    return evaluate(MeasureKind.ENTROPY_OF_ENTANGLEMENT, psi, keep)
+    return evaluate(MeasureKind.ENTROPY_OF_ENTANGLEMENT, psi)
 
 
-def linear_entropy(psi, keep: str = "A") -> float:
+def linear_entropy(psi) -> float:
     """R = 1 - Tr(rho_A^2), the purity deficit of the reduced state."""
-    return evaluate(MeasureKind.LINEAR_ENTROPY, psi, keep)
+    return evaluate(MeasureKind.LINEAR_ENTROPY, psi)
 
 
-def linear_entropy_rescaled(psi, keep: str = "A") -> float:
+def linear_entropy_rescaled(psi) -> float:
     """2R, normalized to reach 1 on a maximally entangled two-qubit state."""
-    return 2.0 * linear_entropy(psi, keep)
+    return 2.0 * linear_entropy(psi)
 
 
 def binary_entropy(p: float) -> float:
-    """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0."""
+    """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0.
+
+    Computed on the smaller outcome q, with log1p for the larger one, so
+    that H keeps full relative precision as q goes to 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    total = 0.0
-    if p > 0.0:
-        total -= p * math.log2(p)
-    if p < 1.0:
-        total -= (1.0 - p) * math.log2(1.0 - p)
-    return total
+    q = min(p, 1.0 - p)
+    if q == 0.0:
+        return 0.0
+    return -q * math.log2(q) - (1.0 - q) * math.log1p(-q) / math.log(2.0)
 
 
 def entropy_from_concurrence(c: float) -> float:
-    """Entropy of entanglement of a two-qubit pure state with concurrence c."""
+    """Entropy of entanglement of a two-qubit pure state with concurrence c,
+    H of the smaller Schmidt weight c^2 / (2 (1 + sqrt(1 - c^2)))."""
     if not 0.0 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(c, 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    return binary_entropy(c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c))))

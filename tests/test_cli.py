@@ -58,9 +58,26 @@ def test_parse_matrix_txt_token_forms(tmp_path):
 def test_parse_matrix_json_and_format_inference(tmp_path):
     path = _write_json(tmp_path / "swap.json", SWAP)
     assert np.allclose(parse_matrix_file(path), SWAP)
-    assert np.allclose(parse_matrix_file(path, format="json"), SWAP)
-    with pytest.raises(MatrixParseError):
-        parse_matrix_file(path, format="txt")
+    # Leading blank lines and spaces do not hide the JSON's opening brace.
+    text = (tmp_path / "swap.json").read_text()
+    (tmp_path / "padded.json").write_text("\n  \n\t" + text)
+    assert np.allclose(parse_matrix_file(str(tmp_path / "padded.json")), SWAP)
+    # Nor does a byte-order mark.
+    (tmp_path / "bom.json").write_text("\ufeff" + text, encoding="utf-8")
+    assert np.allclose(parse_matrix_file(str(tmp_path / "bom.json")), SWAP)
+
+
+def test_parse_matrix_format_comes_from_the_text_not_the_extension(tmp_path, capsys):
+    # JSON in a .txt file and the text form in a .json file both parse.
+    swap = _write_json(tmp_path / "swap.txt", SWAP)
+    assert np.array_equal(parse_matrix_file(swap), SWAP)
+    path = tmp_path / "cnot.json"
+    path.write_text("1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n")
+    assert np.array_equal(parse_matrix_file(str(path)), CNOT)
+    assert main(["decompose", "--matrix", swap]) == 0
+    assert capsys.readouterr().out.startswith("alpha = (0.785398163397, ")
+    # There is no --format flag to give.
+    assert main(["decompose", "--matrix", swap, "--format", "json"]) == 2
 
 
 def test_parse_matrix_rejects_bad_shapes(tmp_path):

@@ -74,13 +74,25 @@ def test_entropy_concurrence_identity_on_haar_states():
         assert linear_entropy_rescaled(psi) == pytest.approx(c**2, abs=1e-12)
 
 
+def _kernel_across(kind, psi, side):
+    """One kernel row of ``psi`` split with ``side``'s qubits as rows."""
+    t = split_across_cut(psi, side)
+    return entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0]
+
+
 def test_entropy_symmetric_between_parties():
+    # A pure state's Schmidt coefficients are the same from either party, so
+    # each measure reads the same across both splits of the cut.
     rng = make_rng(14)
-    for _ in range(30):
-        psi = haar_random_state(2, rng)
-        assert entropy_of_entanglement(psi, "A") == pytest.approx(
-            entropy_of_entanglement(psi, "B"), abs=1e-12
-        )
+    for labels in (("A", "B"), ("B", "A"), ("A", "B", "B"), ("A", "B", "A", "B")):
+        for _ in range(10):
+            psi = haar_random_state(len(labels), rng, labels)
+            for kind in MeasureKind:
+                if kind in CONCURRENCE_KINDS and len(labels) > 2:
+                    continue
+                from_a = _kernel_across(kind, psi, "A")
+                assert _kernel_across(kind, psi, "B") == pytest.approx(from_a, abs=1e-12)
+                assert evaluate(kind, psi) == from_a
 
 
 def test_local_unitary_invariance():
@@ -126,6 +138,19 @@ def test_entropy_from_concurrence_values_and_guards():
         entropy_from_concurrence(1.5)
 
 
+def test_entropies_keep_relative_precision_near_zero():
+    # Near 0, H(q) = q log2(e / q) - q^2 / (2 ln 2) + ..., so the leading term
+    # is exact to a relative 1e-11 for q <= 1e-12.  A concurrence c has the
+    # smaller Schmidt weight q = c^2 / 4 + O(c^4).
+    for p in np.geomspace(1e-12, 1e-300, 60):
+        want = p * np.log2(np.e / p)
+        assert binary_entropy(p) == pytest.approx(want, rel=1e-11, abs=0.0)
+    for c in np.geomspace(1e-6, 1e-140, 60):
+        q = c * c / 4.0
+        want = q * np.log2(np.e / q)
+        assert entropy_from_concurrence(c) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_evaluate_accepts_raw_amplitudes():
     amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert evaluate(MeasureKind.CONCURRENCE, amps) == pytest.approx(1.0, abs=1e-12)
@@ -156,43 +181,35 @@ def test_evaluate_rejects_bad_raw_vectors(kind):
             evaluate(kind, np.array([bad, 0, 0, 0]))
     with pytest.raises(NotNormalizedError):
         evaluate(kind, np.array([1.0, 0, 1.0, 0, 0, 0, 0, 0]))
-    # One qubit has no cut, and a party must be A or B.
+    # One qubit has no cut.
     with pytest.raises(WrongPartitionError):
         evaluate(kind, np.array([1.0, 0]))
-    with pytest.raises(ValueError):
-        evaluate(kind, np.array([1.0, 0, 0, 0]), keep="C")
-
-
-def _kernel_reference(kind, psi, keep):
-    """evaluate's definition: one row of the kernel, split across the cut."""
-    t = split_across_cut(psi, keep)
-    return entanglement_batch(t.reshape(1, -1), kind, *t.shape)[0]
 
 
 @pytest.mark.parametrize("kind", list(MeasureKind), ids=lambda k: k.value)
 def test_evaluate_is_one_kernel_row_bit_for_bit(kind):
+    # evaluate's definition: one row of the kernel, split with A's qubits as rows.
     rng = make_rng(31)
     for n in range(2, 7):
         labels = [("A", "B")[i % 2] for i in range(n)]  # A does not lead
-        for keep in ("A", "B"):
-            for _ in range(4):
-                amps = haar_random_state(n, rng).amplitudes
-                states = [
-                    (np.array(amps), PureState(amps)),
-                    (np.stack([amps, amps], axis=1)[:, 0], PureState(amps)),
-                    (PureState(amps, tuple(labels)),) * 2,
-                    (PureState(amps, tuple(reversed(labels))),) * 2,
-                ]
-                for given, split in states:
-                    try:
-                        want = _kernel_reference(kind, split, keep)
-                    except UnsupportedMeasureError:
-                        with pytest.raises(UnsupportedMeasureError):
-                            evaluate(kind, given, keep)
-                        continue
-                    got = evaluate(kind, given, keep)
-                    assert type(got) is float
-                    assert np.float64(got).tobytes() == want.tobytes()
+        for _ in range(8):
+            amps = haar_random_state(n, rng).amplitudes
+            states = [
+                (np.array(amps), PureState(amps)),
+                (np.stack([amps, amps], axis=1)[:, 0], PureState(amps)),
+                (PureState(amps, tuple(labels)),) * 2,
+                (PureState(amps, tuple(reversed(labels))),) * 2,
+            ]
+            for given, split in states:
+                try:
+                    want = _kernel_across(kind, split, "A")
+                except UnsupportedMeasureError:
+                    with pytest.raises(UnsupportedMeasureError):
+                        evaluate(kind, given)
+                    continue
+                got = evaluate(kind, given)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_measure_kind_round_trips_flag_strings():

@@ -1143,6 +1143,40 @@ def test_restarts_split_across_blocks_give_the_unsplit_result(monkeypatch):
     assert custom_sweep(triples, c2, cfg=FAST) == rows
 
 
+def test_certificate_chunking_changes_no_bit(monkeypatch):
+    # _central_differences sends whole rows per call, up to _CERTIFICATE_ROWS
+    # shifted rows: 1, 4 and 16 c2 rows, and 1, 1 and 4 rows at 1+1 ancillas,
+    # at 16, 64 and the default.  The split moves no bit of a certificate, a
+    # polish Hessian or a search.
+    entropy, c2 = MeasureKind.ENTROPY_OF_ENTANGLEMENT, MeasureKind.CONCURRENCE_SQUARED
+    u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
+    objectives = [
+        optimize._CutObjective(build_canonical_unitary(GRID[8]), c2, 0, 0),
+        optimize._CutObjective(u, entropy, 1, 1),
+    ]
+    rng = make_rng(5)
+    raws = [rng.standard_normal((6, obj.n_raw)) for obj in objectives]
+    raws = [raw / np.linalg.norm(raw, axis=1, keepdims=True) for raw in raws]
+    grid = GRID[::6]
+
+    def run():
+        found = [optimize._certificate_norms(obj, raw) for obj, raw in zip(objectives, raws)]
+        found += [
+            optimize._central_differences(obj, raw, optimize._HESSIAN_STEP, gradients=True)
+            for obj, raw in zip(objectives, raws)
+        ]
+        search = numeric_capacity(u, entropy, 1, 1, cfg=FAST)
+        found.append(search.optimal_state.amplitudes)
+        return found, custom_sweep(grid, c2, cfg=OptimizerConfig(restarts=8)), _outcome(search)
+
+    want = run()
+    for rows in (16, 64):
+        monkeypatch.setattr(optimize, "_CERTIFICATE_ROWS", rows)
+        found, sweep, outcome = run()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(found, want[0]))
+        assert sweep == want[1] and outcome == want[2]
+
+
 @pytest.mark.parametrize("block, most", [(128, 10), (64, 5), (32, 4), (4, 1)])
 def test_ascend_never_holds_more_rows_than_a_block(monkeypatch, block, most):
     # A block holds at most _BLOCK_PARAMETERS parameters, and at least one

@@ -1,12 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from entcap.canonical import bell_coefficients
+from entcap.cli import _matrix_from_json
 from entcap.errors import (
     DimensionMismatchError,
+    MatrixParseError,
     NotNormalizedError,
     NotUnitaryError,
     WrongPartitionError,
 )
+from entcap.measures import MeasureKind
+from entcap.optimize import numeric_capacity
 from entcap.qcore import (
     BELL_BASIS,
     CNOT,
@@ -213,3 +221,30 @@ def test_build_canonical_unitary_accepts_params_object():
         build_canonical_unitary(alpha),
         build_canonical_unitary(CanonicalParams(alpha)),
     )
+
+
+
+def _json_with_a_short_row():
+    rows = [[[1, 0], [0, 0], [0, 0], [0, 0]]] * 4
+    return json.dumps({"matrix": rows[:2] + [rows[2][:3]] + rows[3:]})
+
+
+# The input checks of the other modules that no other test reaches.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bell_coefficients(np.eye(8)[0]), DimensionMismatchError,
+         "expected 4 amplitudes, got shape (8,)"),
+        (lambda: _matrix_from_json(_json_with_a_short_row()), MatrixParseError,
+         "row 2 must be a list of 4 entries"),
+        (lambda: numeric_capacity(CNOT, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 3, 0),
+         ValueError, "supported ancilla counts are 0, 1 and 2 per side"),
+        (lambda: build_canonical_unitary((0.1, 0.2)), DimensionMismatchError,
+         "expected three interaction coefficients, got shape (2,)"),
+        (lambda: haar_random_state(0, 5), ValueError, "need at least one qubit"),
+    ],
+    ids=["bell-coefficients", "json-row", "ancillas", "canonical-triple", "no-qubits"],
+)
+def test_input_checks_raise_their_errors(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -216,8 +216,8 @@ def main(argv=None) -> int:
                         help="list the records that differ between two files")
     args = parser.parse_args(argv)
     if args.compare:
-        old, new = (json.load(open(path)) for path in args.compare)
-        lines = compare(old, new)
+        with open(args.compare[0]) as old, open(args.compare[1]) as new:
+            lines = compare(json.load(old), json.load(new))
         print("\n".join(lines))
         return 1 if len(lines) > 1 else 0
     if not args.out:
