@@ -222,7 +222,7 @@ def _small_weight(f):
 def _mixture_entropy(f):
     """Entropy of entanglement of a two-qubit state with concurrence |cos f|."""
     q = _small_weight(f)
-    return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(np.where(q > 0.0, q, 1.0))
+    return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(q)
 
 
 # E(|cos f|) on the grid, the same for every gate.
@@ -234,8 +234,6 @@ def _mixture_entropy_slope(f: float) -> float:
     log2(q / (1 - q)) / 2, with q the ``_small_weight``."""
     s, c = math.sin(f), math.cos(f)
     q = c * c / (2.0 * (1.0 + abs(s)))
-    if q == 0.0:
-        return 0.0
     return (c if s > 0.0 else -c) * math.log2(q / (1.0 - q)) / 2.0
 
 

@@ -7,9 +7,10 @@ variant 2R with range [0, 1] is exposed alongside it.
 
 Each measure has one kernel over rows of states cut between dim_a and
 dim_b: ``_flip_terms`` for the concurrences, ``_cut_terms`` (clamped at 0)
-for the linear entropy and the entropy.  A kernel returns the values, as
-``entanglement_batch``, or their closed-form gradients, never both; the
-scalar functions are one-row wrappers around ``entanglement_batch``.
+for the linear entropy and the entropy.  ``entanglement_batch`` is the one
+dispatch from a measure to its kernel: it returns the values or, with
+``gradient``, their closed-form gradients, never both.  The scalar
+functions are one-row wrappers around it.
 """
 from __future__ import annotations
 
@@ -55,14 +56,15 @@ def require_qubit_pair(kind: MeasureKind, dim_a: int, dim_b: int) -> None:
 
 
 def entanglement_batch(
-    states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2
+    states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2, gradient=False
 ) -> np.ndarray:
-    """Measure a batch of states given as rows, cut between dim_a and dim_b."""
+    """Measure a batch of states given as rows, cut between dim_a and dim_b,
+    or with ``gradient`` take each row's closed-form gradient (see below)."""
     states = np.atleast_2d(states)
     if kind in CONCURRENCE_KINDS:
         require_qubit_pair(kind, dim_a, dim_b)
-        return _flip_terms(states, kind)
-    return _cut_terms(states, kind, dim_a, dim_b)
+        return _flip_terms(states, kind, gradient)
+    return _cut_terms(states, kind, dim_a, dim_b, gradient)
 
 
 # With ``gradient`` the kernels return each row's dE/d(conj psi), the

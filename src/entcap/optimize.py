@@ -65,15 +65,7 @@ from .errors import (
     NotNormalizedError,
     ZeroCapacityError,
 )
-from .measures import (
-    CONCURRENCE_KINDS,
-    SMOOTH_KINDS,
-    MeasureKind,
-    _cut_terms,
-    _flip_terms,
-    entanglement_batch,
-    require_qubit_pair,
-)
+from .measures import SMOOTH_KINDS, MeasureKind, entanglement_batch, require_qubit_pair
 from .qcore import (
     QUARTER_PI,
     PureState,
@@ -255,8 +247,9 @@ class _CutObjective:
     A free row holds one state's interleaved (re, im) amplitudes.  With
     ``product`` a row holds the two factors of psi = va x vb back to back,
     each normalized on its own, so E(psi) is exactly zero by construction.
-    Every method reads rows through ``_states``; ``values`` and the result
-    then take ``entanglements``, and ``gradients`` takes ``terms``.
+    Every method reads rows through ``_states`` and measures them through
+    ``terms``, one ``entanglement_batch`` call for the values or the
+    gradients of both terms.
     """
 
     def __init__(self, u, measure: MeasureKind, anc_a: int, anc_b: int, product=False):
@@ -267,8 +260,6 @@ class _CutObjective:
         self.u = u
         self.u_dag = u.conj().swapaxes(1, 2)
         self.measure = measure
-        # The measure and the A|B cut, as the kernels take them.
-        self.cut = (measure, self.dim_a, self.dim_b)
         self.product = product
         self.dim_pre = 2**anc_a
         self.dim_post = 2**anc_b
@@ -319,45 +310,27 @@ class _CutObjective:
         gate = self.u if gate is None else gate
         return np.einsum("mpq,mtxqy->mtxpy", gate, t).reshape(states.shape)
 
-    def _measured(self, states: np.ndarray):
-        """The measure of every state, through the kernel's flat rows."""
-        flat = entanglement_batch(states.reshape(-1, self.dim), *self.cut)
-        return flat.reshape(states.shape[:-1])
-
-    def entanglements(self, states: np.ndarray):
-        """(E(psi), E(U psi)) of each state, from one kernel call."""
-        if self.product:
-            ef = self._measured(self.evolve(states))
-            return np.zeros_like(ef), ef
-        return tuple(self._measured(np.stack([states, self.evolve(states)])))
-
-    def _kernel(self, states: np.ndarray):
-        """The derivative in conj(psi) of the measure of every state, through
-        the kernel's flat rows."""
-        flat = states.reshape(-1, self.dim)
-        # Positional: the row counters that wrap the kernels forward no keywords.
-        if self.measure in CONCURRENCE_KINDS:
-            return _flip_terms(flat, self.measure, True).reshape(states.shape)
-        return _cut_terms(flat, *self.cut, True).reshape(states.shape)
-
-    def terms(self, states: np.ndarray):
-        """The derivatives in conj(psi) of the input and output terms of each
-        state, the output's that of E(U psi) pulled back through U^dagger,
-        from one kernel call.  A product row's input term is 0."""
-        if self.product:
-            grad_in, grad_out = 0.0, self._kernel(self.evolve(states))
-        else:
-            grad_in, grad_out = self._kernel(np.stack([states, self.evolve(states)]))
-        return grad_in, self.evolve(grad_out, self.u_dag)
+    def terms(self, states: np.ndarray, gradient=False):
+        """The input and output terms of each state, E(psi) and E(U psi), or
+        with ``gradient`` their derivatives in conj(psi), the output's pulled
+        back through U^dagger; one kernel call.  A product row's input term
+        is zeros."""
+        rows = self.evolve(states) if self.product else np.stack([states, self.evolve(states)])
+        flat = entanglement_batch(
+            rows.reshape(-1, self.dim), self.measure, self.dim_a, self.dim_b, gradient
+        )
+        out = flat.reshape(rows.shape if gradient else rows.shape[:-1])
+        term_in, term_out = (np.zeros_like(out), out) if self.product else out
+        return term_in, self.evolve(term_out, self.u_dag) if gradient else term_out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
-        e0, ef = self.entanglements(self._states(raw)[0])
+        e0, ef = self.terms(self._states(raw)[0])
         return ef - e0
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         """Gradient of ``values`` at each parameter row, shaped like ``raw``."""
         states, pull = self._states(raw)
-        grad_in, grad_out = self.terms(states)
+        grad_in, grad_out = self.terms(states, True)
         return pull(grad_out - grad_in)
 
 
@@ -371,12 +344,12 @@ class _PenalizedObjective(_CutObjective):
         self.penalty = penalty
 
     def values(self, raw: np.ndarray) -> np.ndarray:
-        e0, ef = self.entanglements(self._states(raw)[0])
+        e0, ef = self.terms(self._states(raw)[0])
         return -e0 - self.penalty * np.maximum(0.0, self.target - (ef - e0)) ** 2
 
     def gradients(self, raw: np.ndarray) -> np.ndarray:
         states, pull = self._states(raw)
-        (e0, ef), (grad_in, grad_out) = self.entanglements(states), self.terms(states)
+        (e0, ef), (grad_in, grad_out) = self.terms(states), self.terms(states, True)
         weight = 2.0 * self.penalty * np.maximum(0.0, self.target - (ef - e0))
         return pull(weight[..., None] * (grad_out - grad_in) - grad_in)
 
@@ -647,7 +620,7 @@ def _results(objective, raw: np.ndarray, rows, converged, seeds) -> list:
     state; all rows share one kernel call."""
     part = objective.take(rows)
     states = part._states(raw.take(rows, axis=0))[0]
-    e0, ef = (e.tolist() for e in part.entanglements(states))
+    e0, ef = (e.tolist() for e in part.terms(states))
     return [
         CapacityResult(f - i, PureState(state, part.partition), i, f, c, seed)
         for state, i, f, c, seed in zip(states, e0, ef, converged, seeds)
@@ -794,24 +767,21 @@ class InterconversionBounds:
 
 
 def interconversion_bounds(
-    u1,
-    u2,
-    cfg: OptimizerConfig | None = None,
-    zero_tol: float = 1e-6,
+    u1, u2, cfg: OptimizerConfig | None = None
 ) -> InterconversionBounds:
     """Bounds from single-use capacities with one ancilla per side.
 
     Creating u1 from e-bits needs at least its capacity; simulating u1 with
     copies of u2 cannot beat the capacity ratio.  A denominator capacity at
-    or below ``zero_tol`` means u2 is locally trivial and no finite rate
-    exists.
+    or below 1e-6 ebits means u2 is locally trivial and no finite rate
+    exists: ZeroCapacityError.
     """
     _require_unitary(u1)
     _require_unitary(u2)
     kind = MeasureKind.ENTROPY_OF_ENTANGLEMENT
     cap1 = numeric_capacity(u1, kind, anc_a=1, anc_b=1, cfg=cfg).value
     cap2 = numeric_capacity(u2, kind, anc_a=1, anc_b=1, cfg=cfg).value
-    if cap2 <= zero_tol:
+    if cap2 <= 1e-6:
         raise ZeroCapacityError(
             f"target capacity {cap2:.3e} is at the zero tolerance; "
             "the denominator gate is locally trivial"

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -208,6 +209,20 @@ def test_entropy_phase_matches_the_bisection_reference():
         want = gain(_bisection_entropy_phase(delta), delta)
         have = gain(capacity_module._entropy_phase(float(delta)), delta)
         assert abs(have - want) <= 1e-15, delta
+
+
+def test_mixture_entropy_is_finite_next_to_the_zeros_of_cos():
+    # cos of a double is never 0, so the small Schmidt weight stays positive
+    # (about 1e-33 next to pi/2) and neither function guards against q = 0.
+    # A RuntimeWarning from a log of 0 would fail this test too.
+    for centre in (np.pi / 2, -np.pi / 2, 3 * np.pi / 2, -3 * np.pi / 2):
+        # The 11 doubles around the centre, which all share its sign.
+        fs = (np.float64(centre).view(np.int64) + np.arange(-5, 6)).view(np.float64)
+        assert np.all(np.abs(fs - centre) < 1e-14)
+        entropy = _mixture_entropy(fs)
+        assert np.all(np.isfinite(entropy)) and np.all(entropy >= 0.0), centre
+        for f in fs:
+            assert math.isfinite(capacity_module._mixture_entropy_slope(float(f))), f
 
 
 def test_entropy_no_ancilla_matches_unrestricted_search():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +278,31 @@ def test_optimize_prints_no_negative_initial_entanglement(cnot_file, capsys, mea
     out = capsys.readouterr().out
     (line,) = [x for x in out.splitlines() if x.startswith("initial_entanglement = ")]
     assert not line.split(" = ")[1].startswith("-"), line
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # ``python3 -m entcap.cli``, as the README documents it, in a fresh
+    # process: the exit code comes from main through app.
+    src = str(Path(entcap.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "entcap.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    rows = ["1 0 0 0", "0 1 0 0", "0 0 0 1", "0 0 1 0"]
+    cnot = tmp_path / "cnot.txt"
+    cnot.write_text("\n".join(rows) + "\n")
+    scaled = tmp_path / "scaled.txt"
+    scaled.write_text("\n".join(["2 0 0 0", *rows[1:]]) + "\n")
+    done = run("decompose", "--matrix", str(cnot))
+    assert done.returncode == 0 and done.stdout, done.stderr
+    bad = run("decompose", "--matrix", str(scaled))
+    assert bad.returncode == 1 and bad.stderr.startswith("error:"), bad.stderr
+    assert run().returncode == 2
 
 
 def test_exit_codes(cnot_file, tmp_path, capsys):

@@ -770,28 +770,29 @@ def test_polish_leaves_converged_rows_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "measure, kernel",
-    [
-        (MeasureKind.ENTROPY_OF_ENTANGLEMENT, "_cut_terms"),
-        (MeasureKind.CONCURRENCE_SQUARED, "_flip_terms"),
-    ],
+    "measure", [MeasureKind.ENTROPY_OF_ENTANGLEMENT, MeasureKind.CONCURRENCE_SQUARED]
 )
-def test_gradients_go_through_the_module_kernels(monkeypatch, measure, kernel):
-    # The benchmark counts gradient rows by wrapping these names where
-    # entcap.optimize looks them up; a gradient computed past them would
+def test_values_and_gradients_go_through_entanglement_batch(monkeypatch, measure):
+    # The benchmark counts kernel rows by wrapping this name where
+    # entcap.optimize looks it up; a value or gradient computed past it would
     # read as 0 rows.
     rows = []
-    real = getattr(optimize, kernel)
+    real = optimize.entanglement_batch
 
     def counted(states, *args):
         rows.append(len(states))
         return real(states, *args)
 
-    monkeypatch.setattr(optimize, kernel, counted)
-    objective = optimize._CutObjective(REGION_1_GATE, measure, 0, 0)
-    objective.gradients(make_rng(5).standard_normal((3, objective.n_raw)))
-    # The input and the output term of each of the 3 rows, in one call.
-    assert rows == [6]
+    monkeypatch.setattr(optimize, "entanglement_batch", counted)
+    for product, per_call in ((False, 6), (True, 3)):
+        objective = optimize._CutObjective(REGION_1_GATE, measure, 0, 0, product)
+        raw = make_rng(5).standard_normal((3, objective.n_raw))
+        for method in (objective.gradients, objective.values):
+            rows.clear()
+            method(raw)
+            # A free row's input and output terms share one call; a product
+            # row's input term is zero and needs no row.
+            assert rows == [per_call], (product, method.__name__)
 
 
 def test_polish_returns_when_no_row_can_move():
