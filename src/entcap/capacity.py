@@ -33,8 +33,10 @@ from enum import Enum
 import numpy as np
 
 from .canonical import CanonicalParams
-from .errors import DimensionMismatchError, NotCanonicalError, NotNormalizedError
-from .qcore import BELL_BASIS, QUARTER_PI, PureState, lambdas_from_alpha
+from .errors import DimensionMismatchError, NotCanonicalError
+from .qcore import (
+    BELL_BASIS, QUARTER_PI, PureState, lambdas_from_alpha, require_unit_norm,
+)
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 _TRIANGLES = tuple(itertools.combinations(range(4), 3))
@@ -296,9 +298,7 @@ def delta_c2_bell(b, p) -> float:
     b = np.asarray(b, dtype=complex)
     if b.shape != (4,):
         raise DimensionMismatchError(f"expected 4 coefficients, got shape {b.shape}")
-    norm_sq = float(np.sum(np.abs(b) ** 2))
-    if not abs(norm_sq - 1.0) <= 1e-9:
-        raise NotNormalizedError(f"coefficient norm^2 is {norm_sq:.12g}, expected 1")
+    require_unit_norm(b)
     squares = b * b
     phases = np.exp(2j * np.asarray(p.lambdas))
     return float(abs(np.sum(phases * squares)) ** 2 - abs(np.sum(squares)) ** 2)

@@ -36,10 +36,12 @@ per round); the certificates of whole restarts share batched ``values`` calls.
 
 A sweep makes its rows one block too: the objective holds one gate per
 parameter row, so every restart of every sweep row climbs, polishes and
-certifies together, and as rows leave, each loop carries the objective
-restricted to the rows it still holds.  A single search is the one-gate
-case of the same path.  A sweep searches each distinct gate once, and its
-workers each take a contiguous chunk of those gates as their block.
+certifies together.  As rows leave, the climb and the polish drop them in
+one place, ``_keep``, which restricts the objective and every per-row array
+to the rows still held; both store their rows after each line search.  A
+single search is the one-gate case of the same path.  A sweep searches each
+distinct gate once, and its workers each take a contiguous chunk of those
+gates as their block.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and its result depends only on that seed, the
@@ -239,8 +241,9 @@ class _CutObjective:
     """Batched entanglement gain E(U psi) - E(psi) of parameter rows.
 
     Each row has its own gate: ``u`` is one 4x4 gate, which every row
-    shares, or a stack of one gate per row, and ``take`` restricts the
-    objective to a subset of rows.  Methods take parameters of shape (rows,
+    shares, or a stack of one gate per row, and ``take`` restricts that
+    stack, the only per-row array, to a subset of rows; U^dagger is derived
+    where a gradient is pulled back.  Methods take parameters of shape (rows,
     ..., n_raw) and broadcast each row's gate over that row's trial axes
     (ladder rungs, difference shifts), so no gate is copied per trial.
 
@@ -256,9 +259,7 @@ class _CutObjective:
         self.dim_a, self.dim_b = _register_dims(measure, anc_a, anc_b)
         gates = np.asarray(u, dtype=complex)
         gates = gates if gates.ndim > 2 else [gates]
-        u = np.stack([_require_unitary(g) for g in gates])
-        self.u = u
-        self.u_dag = u.conj().swapaxes(1, 2)
+        self.u = np.stack([_require_unitary(g) for g in gates])
         self.measure = measure
         self.product = product
         self.dim_pre = 2**anc_a
@@ -274,10 +275,7 @@ class _CutObjective:
             return self
         part = object.__new__(type(self))
         part.__dict__.update(self.__dict__)
-        part.u, part.u_dag = (
-            a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
-            for a in (self.u, self.u_dag)
-        )
+        part.u = self.u[rows]
         return part
 
     def _states(self, raw: np.ndarray):
@@ -303,11 +301,11 @@ class _CutObjective:
         states = np.einsum("...a,...b->...ab", va, vb)
         return states.reshape(*states.shape[:-2], self.dim), pull
 
-    def evolve(self, states: np.ndarray, gate: np.ndarray | None = None):
-        """Apply each row's gate (or ``gate``, a stack like ``u``) to the
+    def evolve(self, states: np.ndarray, adjoint=False):
+        """Apply each row's gate, or with ``adjoint`` its U^dagger, to the
         shared pair of that row's states."""
         t = states.reshape(len(states), -1, self.dim_pre, 4, self.dim_post)
-        gate = self.u if gate is None else gate
+        gate = self.u.conj().swapaxes(1, 2) if adjoint else self.u
         return np.einsum("mpq,mtxqy->mtxpy", gate, t).reshape(states.shape)
 
     def terms(self, states: np.ndarray, gradient=False):
@@ -321,7 +319,7 @@ class _CutObjective:
         )
         out = flat.reshape(rows.shape if gradient else rows.shape[:-1])
         term_in, term_out = (np.zeros_like(out), out) if self.product else out
-        return term_in, self.evolve(term_out, self.u_dag) if gradient else term_out
+        return term_in, self.evolve(term_out, True) if gradient else term_out
 
     def values(self, raw: np.ndarray) -> np.ndarray:
         e0, ef = self.terms(self._states(raw)[0])
@@ -404,20 +402,18 @@ def _tiered_rungs(objective, raw, value, tried, direction, slope, steps, tiers,
     the longest barely-improving step stops contracting near an optimum.  A
     tier's ladder is cut past the last rung where a trying row has a step
     above the tolerance, so a tier with no such row makes no ``values`` call;
-    otherwise its trials share one call, each row's on its own row.  Returns
-    (moved, raw, value); a row no tier moved keeps its own.
+    otherwise its trials share one call on the objective restricted to the
+    trying rows.  Returns (moved, raw, value) as new arrays, the inputs left
+    unwritten; a row no tier moved keeps its own.
     """
-    moved = np.zeros(len(raw), dtype=bool)
     reference = value if reference is None else reference
+    raw, value, moved = raw.copy(), value.copy(), np.zeros(len(raw), dtype=bool)
     for rungs in tiers:
         rows = np.flatnonzero(tried & ~moved)
         if not rows.size:
             break
-        # Every row tries the tier on views, or the trying rows on copies.
-        every = rows.size == len(raw)
         r, ref, d, s, step = (
-            a if every else a.take(rows, axis=0)
-            for a in (raw, reference, direction, slope, steps)
+            a.take(rows, axis=0) for a in (raw, reference, direction, slope, steps)
         )
         cut = np.count_nonzero(step.max() * rungs > _STEP_TOLERANCE)
         if not cut:
@@ -425,7 +421,7 @@ def _tiered_rungs(objective, raw, value, tried, direction, slope, steps, tiers,
         ladders = step[:, None] * rungs[:cut]
         trials = r[:, None] + ladders[..., None] * d[:, None]
         trials /= _row_norms(trials)
-        trial_vals = (objective if every else objective.take(rows)).values(trials)
+        trial_vals = objective.take(rows).values(trials)
         accepted = (ladders > _STEP_TOLERANCE) & (
             trial_vals >= ref[:, None] + _ARMIJO_SLOPE * ladders * s[:, None]
         )
@@ -433,12 +429,16 @@ def _tiered_rungs(objective, raw, value, tried, direction, slope, steps, tiers,
             np.where(accepted, trial_vals, -np.inf), axis=1
         )
         found, new_r, new_v = accepted.any(axis=1), trials[best], trial_vals[best]
-        if every and found.all():  # no row is left for a later tier
-            return found, new_r, new_v
         rows = rows[found]
-        raw, value = raw.copy(), value.copy()
         raw[rows], value[rows], moved[rows] = new_r[found], new_v[found], True
     return moved, raw, value
+
+
+def _keep(mask, objective, *arrays):
+    """The objective and each per-row array restricted to the rows where
+    ``mask`` holds: the one way the climb and the polish drop rows."""
+    rows = np.flatnonzero(mask)
+    return (objective.take(rows), *(a.take(rows, axis=0) for a in arrays))
 
 
 def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
@@ -456,16 +456,15 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     no ascending Newton direction, or when no Newton rung moves it.
     """
     raw, value = raw.copy(), value.copy()
-    rows, rounds = np.arange(raw.shape[0]), 0
+    polishing, rows, r, v, rounds = objective, np.arange(len(raw)), raw, value, 0
     while rows.size and rounds < _POLISH_ROUNDS:
-        r, v, rounds = raw.take(rows, axis=0), value.take(rows), rounds + 1
-        grad = _tangent(objective.take(rows).gradients(r), r)
+        grad, rounds = _tangent(polishing.gradients(r), r), rounds + 1
         norm = np.sqrt(_dots(grad, grad))
-        live = np.flatnonzero(norm >= _EXIT_GRAD_NORM)
-        rows, r, v, grad, norm = (a.take(live, axis=0) for a in (rows, r, v, grad, norm))
+        polishing, rows, r, v, grad = _keep(
+            norm >= _EXIT_GRAD_NORM, polishing, rows, r, v, grad
+        )
         if not rows.size:
             break
-        polishing = objective.take(rows)
         hess = _central_differences(polishing, r, _HESSIAN_STEP, gradients=True)
         eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hess + hess.swapaxes(1, 2)))
         scale = np.maximum(np.abs(eigenvalues).max(axis=1), 1e-300)
@@ -479,11 +478,12 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         newton_slope = _dots(grad, newton)
         newton_ok = keep.any(axis=1) & (newton_slope > 0.0)
         smooth = polishing.measure in SMOOTH_KINDS
-        moved, raw[rows], value[rows] = _tiered_rungs(
+        moved, r, v = _tiered_rungs(
             polishing, r, v, newton_ok, newton, newton_slope, np.ones(rows.size),
             (_POLISH_LADDER[:1], _POLISH_LADDER) if smooth else (_POLISH_LADDER,),
         )
-        rows = rows[moved]
+        raw[rows], value[rows] = r, v
+        polishing, rows, r, v = _keep(moved, polishing, rows, r, v)
     return raw, value
 
 
@@ -531,19 +531,18 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     k, n = raw.shape
     # The climbing rows, compacted: entry i of each array below belongs to
     # restart rows[i].  Every one of them has moved on every iteration so
-    # far, so the stall window is a ring of whole arrays, one row a step:
-    # the norm of iteration i sits in row i % _STALL_WINDOW.
-    rows, r, v, step = np.arange(k), raw.copy(), value.copy(), np.full(k, 0.1)
-    prev_r, prev_g = r, np.zeros_like(r)
-    climbing = objective
-    norms = np.empty((_STALL_WINDOW, k))
+    # far, so the stall window is a ring of columns, one column a step: the
+    # norm of iteration i sits in column i % _STALL_WINDOW.
+    climbing, rows, r, v = objective, np.arange(k), raw.copy(), value.copy()
+    step, prev_r, prev_g = np.full(k, 0.1), r, np.zeros_like(r)
+    norms = np.empty((k, _STALL_WINDOW))
     # Kinked measures with ancillas (n > 8): Raydan's global BB method; a
     # window of one value is the monotone test.  Smooth ones without: one
     # stall window, then Newton, whose 2n-row Hessians cost more with ancillas.
     smooth = objective.measure in SMOOTH_KINDS
     global_bb = not smooth and n > 8
     cap, window = (1.0, _STALL_WINDOW) if global_bb else (_STEP_CAP, 1)
-    recent = np.tile(value, (window, 1))
+    recent = np.tile(value[:, None], (1, window))
     # Per-row quasi-Newton memory; kinked measures keep none: the polish takes kinks.
     pairs = np.zeros((k, _QN_MEMORY if smooth else 0, 2, n))
     last = _STALL_WINDOW if smooth and n <= 8 else math.inf
@@ -578,26 +577,21 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
         moved, r, v = _tiered_rungs(
             climbing, r, v, live, direction, slope, trial_step,
             (_LADDER[:1], _LADDER[1:_ASCENT_RUNGS], _LADDER[_ASCENT_RUNGS:]),
-            recent.min(axis=0),
+            recent.min(axis=1),
         )
-        recent[iteration % window] = v
+        raw[rows], value[rows] = r, v
+        recent[:, iteration % window] = v
         stop = ~moved
         if n <= _POLISH_MAX_PARAMS:
-            norms[iteration % _STALL_WINDOW] = norm
+            norms[:, iteration % _STALL_WINDOW] = norm
             if iteration + 1 >= _STALL_WINDOW:
-                stop |= norm > _STALL_CUT * norms[(iteration + 1) % _STALL_WINDOW]
+                stop |= norm > _STALL_CUT * norms[:, (iteration + 1) % _STALL_WINDOW]
         if stop.any():
-            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
-            raw[rows[done]], value[rows[done]] = r.take(done, axis=0), v.take(done)
-            rows, r, v, step, prev_r, prev_g, pairs = (
-                a.take(keep, axis=0) for a in (rows, r, v, step, prev_r, prev_g, pairs)
+            climbing, rows, r, v, step, prev_r, prev_g, pairs, norms, recent = _keep(
+                ~stop, climbing, rows, r, v, step, prev_r, prev_g, pairs, norms, recent
             )
-            climbing = climbing.take(keep)
-            norms, recent = (a.take(keep, axis=1) for a in (norms, recent))
             if not rows.size:
                 break
-    # Rows still climbing stop at the iteration bound.
-    raw[rows], value[rows] = r, v
     return raw, value
 
 
@@ -633,48 +627,40 @@ def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=Fals
     Each gate gets the restarts seeded master_seed, ..., master_seed + k - 1
     (k = cfg.restarts), so the k starts are drawn once.  Consecutive gates
     form blocks of at most ``_BLOCK_PARAMETERS`` parameters, and of at least
-    one gate, whose restarts split into blocks of at least one where they
-    exceed it.  Returns, per gate, its CapacityResult or the ConvergenceError
-    of a gate none of whose restarts certified.
+    one gate.  A block's (gates * k, n) rows climb and polish together, in
+    consecutive parts of at most ``_BLOCK_PARAMETERS`` parameters (only one
+    gate's rows split), then certify, and each gate's k rows reduce on their
+    own.  Returns, per gate, its CapacityResult or the ConvergenceError of a
+    gate none of whose restarts certified.
     """
     objective = _CutObjective(gates, measure, anc_a, anc_b, product)
     seeds = range(cfg.master_seed, cfg.master_seed + cfg.restarts)
     starts = np.array([make_rng(s).standard_normal(objective.n_raw) for s in seeds])
+    k, gate_count = len(starts), len(objective.u)
     per_block = max(1, _BLOCK_PARAMETERS // starts.size)
-    return [
-        result
-        for first in range(0, len(objective.u), per_block)
-        for result in _block_results(
-            objective.take(slice(first, first + per_block)), starts, seeds, cfg
-        )
-    ]
-
-
-def _block_results(objective, starts, seeds, cfg: OptimizerConfig) -> list:
-    """``_capacities`` of the gates of ``objective`` as one block: the
-    (gates * k, n) rows climb and polish together, in consecutive parts of
-    at most ``_BLOCK_PARAMETERS`` parameters (only one gate's rows split),
-    then certify, and each gate's k rows reduce on their own."""
-    count, k = len(objective.u), len(starts)
-    objective = objective.take(np.repeat(np.arange(count), k))
-    raw0 = np.tile(starts, (count, 1))
     size = max(1, _BLOCK_PARAMETERS // objective.n_raw)
-    raw, value = (np.concatenate(part) for part in zip(*(
-        _ascend(objective.take(slice(i, i + size)), raw0[i : i + size], cfg)
-        for i in range(0, len(raw0), size)
-    )))
-    # A restart converged if its certificate at the exit point holds; a NaN
-    # restart neither counts nor wins.
-    converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
-    converged &= ~np.isnan(value)
-    certified = converged.reshape(count, k).sum(axis=1)
-    found = np.flatnonzero(certified)
-    # nanargmax returns the first maximum, which belongs to the lowest seed.
-    best = np.nanargmax(value.reshape(count, k)[found], axis=1)
-    picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
-    results = iter(_results(objective, raw, *picks) if found.size else ())
     error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-    return [next(results) if c else ConvergenceError(error) for c in certified]
+    out = []
+    for first in range(0, gate_count, per_block):
+        count = min(per_block, gate_count - first)
+        block = objective.take(np.repeat(np.arange(first, first + count), k))
+        raw0 = np.tile(starts, (count, 1))
+        raw, value = (np.concatenate(part) for part in zip(*(
+            _ascend(block.take(slice(i, i + size)), raw0[i : i + size], cfg)
+            for i in range(0, len(raw0), size)
+        )))
+        # A restart converged if its certificate at the exit point holds; a
+        # NaN restart neither counts nor wins.
+        converged = _certificate_norms(block, raw) < _CONVERGED_GRAD_NORM
+        converged &= ~np.isnan(value)
+        certified = converged.reshape(count, k).sum(axis=1)
+        found = np.flatnonzero(certified)
+        # nanargmax returns the first maximum, which belongs to the lowest seed.
+        best = np.nanargmax(value.reshape(count, k)[found], axis=1)
+        picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
+        results = iter(_results(block, raw, *picks) if found.size else ())
+        out += [next(results) if c else ConvergenceError(error) for c in certified]
+    return out
 
 
 def _capacity(u, measure, anc_a, anc_b, cfg, product):
