@@ -136,12 +136,8 @@ def _load_matrix(args) -> np.ndarray:
 
 def _config_from(args):
     """The library's default config for the ancilla counts, with any
-    explicit overrides; ``--max-iterations`` is optimize's alone."""
-    overrides = dict(
-        restarts=args.restarts,
-        master_seed=args.seed,
-        max_iterations=getattr(args, "max_iterations", None),
-    )
+    explicit overrides."""
+    overrides = dict(restarts=args.restarts, master_seed=args.seed)
     given = {k: v for k, v in overrides.items() if v is not None}
     return replace(_default_config(args.anc_a, args.anc_b), **given)
 
@@ -230,6 +226,8 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
     )
     if args.family is not None:
+        if not np.isfinite([args.alpha_min, args.alpha_max]).all():
+            raise ValueError("--alpha-min and --alpha-max must be finite")
         grid = np.linspace(args.alpha_min, args.alpha_max, max(args.steps, 0))
         rows = family_sweep(FamilyKind(args.family), grid, **common)
     else:
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("optimize", help="numeric capacity at one gate")
     _add_matrix_flags(sub)
     _add_optimizer_flags(sub)
-    sub.add_argument("--max-iterations", type=int, default=None)
     sub.set_defaults(handler=_cmd_optimize)
 
     sub = subs.add_parser("sweep", help="capacity along a gate family, as CSV")
@@ -335,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes the sweep uses; each takes one contiguous chunk of the "
-        "distinct gates, and the output bytes do not depend on this count",
+        help="processes the sweep uses; the distinct gates split into "
+        "contiguous blocks, at least one per process, and the output bytes do "
+        "not depend on this count",
     )
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub.set_defaults(handler=_cmd_sweep)

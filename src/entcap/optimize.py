@@ -34,25 +34,25 @@ reaches the basin, Newton finishes), and the polish then takes every row
 not yet done in one batch (one batch of Hessians and one batched ``eigh``
 per round); the certificates of whole restarts share batched ``values`` calls.
 
-A sweep makes its rows one block too: the objective holds one gate per
-parameter row, so every restart of every sweep row climbs, polishes and
-certifies together.  As rows leave, the climb and the polish drop them in
-one place, ``_keep``, which restricts the objective and every per-row array
-to the rows still held; both store their rows after each line search.  A
-single search is the one-gate case of the same path.  A sweep searches each
-distinct gate once, and its workers each take a contiguous chunk of those
-gates as their block.
+A sweep's rows search in lockstep too: the objective holds one gate per
+parameter row, so every restart of a block of sweep rows climbs, polishes
+and certifies together.  As rows leave, the climb and the polish drop them
+in one place, ``_keep``, which restricts the objective and every per-row
+array to the rows still held; both store their rows after each line search.
+A single search is the one-gate case of the same path.  ``_capacities``
+splits the gates into contiguous blocks, at least one per process.
 
 Determinism: restart i draws its start from a counter-based generator
-seeded with master_seed + i, and its result depends only on that seed, the
-config and its gate, bit for bit: not on how many restarts or which other
-gates climb beside it, or on the worker count of a sweep.  Results reduce
-by (value, then lowest seed), so a run is reproducible however restarts or
-sweep rows are scheduled.
+seeded with master_seed + i, and its result depends only on that seed and
+its gate, bit for bit: not on how many restarts or which other gates climb
+beside it, or on the worker count of a sweep.  Results reduce by (value,
+then lowest seed), so a run is reproducible however restarts or sweep rows
+are scheduled.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import warnings
@@ -84,6 +84,7 @@ _CONVERGED_GRAD_NORM = 1e-6
 # is below this: the margin lets the central-difference certificate hold.
 _EXIT_GRAD_NORM = 0.5 * _CONVERGED_GRAD_NORM
 _STALL_WINDOW = 20
+_MAX_ITERATIONS = 5000
 # Fourfold cut per stall window (n <= 64): a x0.95-a-step crawl halves its norm.
 _STALL_CUT = 0.25
 _STEP_TOLERANCE = 1e-10
@@ -112,24 +113,22 @@ _POLISH_MAX_PARAMS = 64
 # 8 restarts, 4 entropy rows at 2+2 ancillas and 64 restarts.  A block's
 # memory grows with its size, about 10 MB per 65,536 parameters at 2+2.
 _BLOCK_PARAMETERS = 2**15
-# Multiplier updates of the penalized search, one ascent each.
+# The penalized search: multiplier updates (one ascent each), first penalty.
 _MULTIPLIER_ROUNDS = 12
+_PENALTY = 1e4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start ascent: restarts per search, the iteration
-    cap of each restart's climb, and the seed of restart 0."""
+    """The restart sample of a multi-start search: restarts per search and
+    the seed of restart 0."""
 
     restarts: int = 32
-    max_iterations: int = 5000
     master_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
 
 
 class FamilyKind(enum.Enum):
@@ -180,9 +179,7 @@ class SweepRow:
     error: str | None = None
 
 
-def parameterize_state(
-    raw: np.ndarray, partition: tuple[str, ...] | None = None
-) -> PureState:
+def parameterize_state(raw: np.ndarray) -> PureState:
     """Map 2d real parameters to a normalized d-dimensional state.
 
     raw[2k] and raw[2k+1] are the real and imaginary parts of amplitude k.
@@ -197,7 +194,7 @@ def parameterize_state(
     if _row_norms(raw[None, :])[0, 0] == 0.0:
         raise ValueError("zero parameter vector has no direction")
     # PureState checks that the amplitudes fill a qubit register.
-    return PureState(_unit_rows(raw[None, :])[0][0], partition)
+    return PureState(_unit_rows(raw[None, :])[0][0])
 
 
 def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
@@ -448,12 +445,13 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
     damped Newton steps restricted to the negative-curvature subspace contract
     the gradient below the convergence threshold.  A row searches along its
     Newton direction only: on a smooth measure (``SMOOTH_KINDS``) the full
-    Newton step alone first, as the climb tries its first rung; then, and on
-    every other measure first, the best rung of the Newton ladder.  A round
-    makes one ``gradients`` call, one for the rows' Hessians (2n rows each),
-    one batched ``eigh`` and one ``_tiered_rungs``; a row leaves when its
-    gradient is below ``_EXIT_GRAD_NORM``, the climb's own exit, when it has
-    no ascending Newton direction, or when no Newton rung moves it.
+    Newton step alone first, as the climb tries its first rung, then the
+    best of the other rungs; on every other measure the best rung of the
+    whole Newton ladder.  A round makes one ``gradients`` call, one for the
+    rows' Hessians (2n rows each), one batched ``eigh`` and one
+    ``_tiered_rungs``; a row leaves when its gradient is below
+    ``_EXIT_GRAD_NORM``, the climb's own exit, when it has no ascending
+    Newton direction, or when no Newton rung moves it.
     """
     raw, value = raw.copy(), value.copy()
     polishing, rows, r, v, rounds = objective, np.arange(len(raw)), raw, value, 0
@@ -480,7 +478,7 @@ def _newton_polish(objective, raw: np.ndarray, value: np.ndarray):
         smooth = polishing.measure in SMOOTH_KINDS
         moved, r, v = _tiered_rungs(
             polishing, r, v, newton_ok, newton, newton_slope, np.ones(rows.size),
-            (_POLISH_LADDER[:1], _POLISH_LADDER) if smooth else (_POLISH_LADDER,),
+            (_POLISH_LADDER[:1], _POLISH_LADDER[1:]) if smooth else (_POLISH_LADDER,),
         )
         raw[rows], value[rows] = r, v
         polishing, rows, r, v = _keep(moved, polishing, rows, r, v)
@@ -507,14 +505,14 @@ def _quasi_newton(grad, raw, pairs, s, y):
     return _tangent(q, raw)
 
 
-def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
+def _climb(objective, raw0: np.ndarray):
     """Projected ascent of a (k, n) block of restarts in lockstep.
 
     Every row keeps its own secant step, Armijo ladder, stall window,
     iteration count and, on ``SMOOTH_KINDS``, the ``_QN_MEMORY`` newest (s, y)
     pairs with s.y > 0, and leaves the batch where its ascent alone would
     stop: its tangent norm below ``_EXIT_GRAD_NORM``, no acceptable step, or
-    ``max_iterations``; with n <= _POLISH_MAX_PARAMS also unless its norm fell
+    ``_MAX_ITERATIONS``; with n <= _POLISH_MAX_PARAMS also unless its norm fell
     by ``_STALL_CUT`` (fourfold) over the stall window, for the polish, and
     on ``SMOOTH_KINDS`` with n = 8 after one window: the L-BFGS climb reaches
     the basin and Newton's quadratic convergence finishes there.  The
@@ -546,7 +544,7 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     # Per-row quasi-Newton memory; kinked measures keep none: the polish takes kinks.
     pairs = np.zeros((k, _QN_MEMORY if smooth else 0, 2, n))
     last = _STALL_WINDOW if smooth and n <= 8 else math.inf
-    for iteration in range(min(cfg.max_iterations, last)):
+    for iteration in range(min(_MAX_ITERATIONS, last)):
         grad = _tangent(climbing.gradients(r), r)
         norm = np.sqrt(_dots(grad, grad))
         direction, slope, trial_step = grad, norm**2, step
@@ -595,10 +593,10 @@ def _climb(objective, raw0: np.ndarray, cfg: OptimizerConfig):
     return raw, value
 
 
-def _ascend(objective, raw0: np.ndarray, cfg: OptimizerConfig):
+def _ascend(objective, raw0: np.ndarray):
     """Climb a (k, n) block of restarts, then hand it whole to the polish if n
     allows, which drops converged rows at their exit; returns (raw, value)."""
-    raw, value = _climb(objective, raw0, cfg)
+    raw, value = _climb(objective, raw0)
     if raw.shape[1] <= _POLISH_MAX_PARAMS:
         raw, value = _newton_polish(objective, raw, value)
     return raw, value
@@ -621,51 +619,83 @@ def _results(objective, raw: np.ndarray, rows, converged, seeds) -> list:
     ]
 
 
-def _capacities(gates, measure, anc_a, anc_b, cfg: OptimizerConfig, product=False):
+def _pool_size(workers: int, gates: int) -> int:
+    """Processes for a search: never more than its gates or the CPUs this
+    process may run on (all the machine's where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(workers, gates, cpus))
+
+
+def __getattr__(name):
+    """The process pool, imported on first use: it loads multiprocessing."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def _search_block(starts, seeds, block) -> list:
+    """Search each gate of ``block`` from ``starts`` (seeded ``seeds``): its
+    rows climb and polish in lockstep, in parts of at most ``_BLOCK_PARAMETERS``
+    parameters, then certify.  Per gate: its CapacityResult, or the
+    ConvergenceError of a gate none of whose restarts certified."""
+    k, count = len(starts), len(block.u)
+    rows = block.take(np.repeat(np.arange(count), k))
+    raw0 = np.tile(starts, (count, 1))
+    size = max(1, _BLOCK_PARAMETERS // block.n_raw)
+    raw, value = (np.concatenate(part) for part in zip(*(
+        _ascend(rows.take(slice(i, i + size)), raw0[i : i + size])
+        for i in range(0, len(raw0), size)
+    )))
+    # A restart converged if its certificate at the exit point holds; a
+    # NaN restart neither counts nor wins.
+    converged = _certificate_norms(rows, raw) < _CONVERGED_GRAD_NORM
+    converged &= ~np.isnan(value)
+    certified = converged.reshape(count, k).sum(axis=1)
+    found = np.flatnonzero(certified)
+    # nanargmax returns the first maximum, which belongs to the lowest seed.
+    best = np.nanargmax(value.reshape(count, k)[found], axis=1)
+    picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
+    results = iter(_results(rows, raw, *picks) if found.size else ())
+    error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
+    return [next(results) if c else ConvergenceError(error) for c in certified]
+
+
+def _capacities(gates, measure, anc_a, anc_b, cfg, product=False, workers=1):
     """Multi-start search of every gate in ``gates``, in lockstep blocks.
 
     Each gate gets the restarts seeded master_seed, ..., master_seed + k - 1
-    (k = cfg.restarts), so the k starts are drawn once.  Consecutive gates
-    form blocks of at most ``_BLOCK_PARAMETERS`` parameters, and of at least
-    one gate.  A block's (gates * k, n) rows climb and polish together, in
-    consecutive parts of at most ``_BLOCK_PARAMETERS`` parameters (only one
-    gate's rows split), then certify, and each gate's k rows reduce on their
-    own.  Returns, per gate, its CapacityResult or the ConvergenceError of a
-    gate none of whose restarts certified.
+    (k = cfg.restarts, by default ``_default_config``'s), drawn once.
+    Consecutive gates form blocks of at most ``_BLOCK_PARAMETERS``
+    parameters and at least one gate, and at least as many blocks as
+    ``_pool_size`` processes, which search them on a pool if there are
+    several.  Returns ``_search_block``'s results, gate by gate.
     """
+    cfg = cfg or _default_config(anc_a, anc_b)
     objective = _CutObjective(gates, measure, anc_a, anc_b, product)
     seeds = range(cfg.master_seed, cfg.master_seed + cfg.restarts)
     starts = np.array([make_rng(s).standard_normal(objective.n_raw) for s in seeds])
-    k, gate_count = len(starts), len(objective.u)
-    per_block = max(1, _BLOCK_PARAMETERS // starts.size)
-    size = max(1, _BLOCK_PARAMETERS // objective.n_raw)
-    error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-    out = []
-    for first in range(0, gate_count, per_block):
-        count = min(per_block, gate_count - first)
-        block = objective.take(np.repeat(np.arange(first, first + count), k))
-        raw0 = np.tile(starts, (count, 1))
-        raw, value = (np.concatenate(part) for part in zip(*(
-            _ascend(block.take(slice(i, i + size)), raw0[i : i + size], cfg)
-            for i in range(0, len(raw0), size)
-        )))
-        # A restart converged if its certificate at the exit point holds; a
-        # NaN restart neither counts nor wins.
-        converged = _certificate_norms(block, raw) < _CONVERGED_GRAD_NORM
-        converged &= ~np.isnan(value)
-        certified = converged.reshape(count, k).sum(axis=1)
-        found = np.flatnonzero(certified)
-        # nanargmax returns the first maximum, which belongs to the lowest seed.
-        best = np.nanargmax(value.reshape(count, k)[found], axis=1)
-        picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
-        results = iter(_results(block, raw, *picks) if found.size else ())
-        out += [next(results) if c else ConvergenceError(error) for c in certified]
-    return out
+    count, per_block = len(objective.u), max(1, _BLOCK_PARAMETERS // starts.size)
+    processes = _pool_size(workers, count)
+    parts = max(processes, -(-count // per_block))
+    blocks = [
+        objective.take(slice(i * count // parts, (i + 1) * count // parts))
+        for i in range(parts)
+    ]
+    search = functools.partial(_search_block, starts, seeds)
+    if processes == 1:
+        found = list(map(search, blocks))
+    else:
+        name = "ProcessPoolExecutor"  # one set on the module wins
+        executor = globals().get(name) or __getattr__(name)
+        with executor(max_workers=processes) as pool:
+            found = list(pool.map(search, blocks))
+    return [result for block in found for result in block]
 
 
 def _capacity(u, measure, anc_a, anc_b, cfg, product):
     """The one-gate case of ``_capacities``; raises its ConvergenceError."""
-    cfg = cfg or _default_config(anc_a, anc_b)
     (result,) = _capacities([u], measure, anc_a, anc_b, cfg, product)
     if isinstance(result, ConvergenceError):
         raise result
@@ -701,7 +731,6 @@ def minimize_initial_entanglement(
     anc_b: int = 0,
     cfg: OptimizerConfig | None = None,
     value_slack: float = 1e-6,
-    penalty: float = 1e4,
 ) -> CapacityResult:
     """Among near-capacity states, find one with the least starting entanglement.
 
@@ -709,22 +738,21 @@ def minimize_initial_entanglement(
     to gain >= target = capacity - value_slack by the method of multipliers
     on -E0 - penalty * hinge(aim + shift - gain)^2: after each ascent the
     shift grows by the gain's shortfall from the aim, halfway into the slack
-    since the rounds approach it from below, and the penalty tenfold when
-    that shortfall fell less than 4-fold.  If the state reached is short of
-    the target, the capacity search's result is returned instead, with a
-    RuntimeWarning.  The slack and the penalty must be finite and positive.
+    since the rounds approach it from below, and the penalty (``_PENALTY``
+    at first) tenfold when that shortfall fell less than 4-fold.  If the
+    state reached is short of the target, the capacity search's result is
+    returned, with a RuntimeWarning.  The slack must be finite and positive.
     """
-    if not (0 < value_slack < math.inf and 0 < penalty < math.inf):
-        raise ValueError("slack and penalty must be finite and positive")
-    cfg = cfg or _default_config(anc_a, anc_b)
+    if not 0 < value_slack < math.inf:
+        raise ValueError("value_slack must be finite and positive")
     base = numeric_capacity(u, measure, anc_a, anc_b, cfg)
     target, aim = base.value - value_slack, base.value - value_slack / 2
     # A complex row viewed as floats is its interleaved (re, im) parameters.
     raw = base.optimal_state.amplitudes.view(np.float64)[None, :]
-    penalized = _PenalizedObjective(u, measure, anc_a, anc_b, aim, penalty)
+    penalized = _PenalizedObjective(u, measure, anc_a, anc_b, aim, _PENALTY)
     shift, shortfall = 0.0, math.inf
     for _ in range(_MULTIPLIER_ROUNDS):
-        raw, _ = _ascend(penalized, raw, cfg)
+        raw, _ = _ascend(penalized, raw)
         (result,) = _results(
             penalized, raw, [0], [base.converged_restarts], [base.best_restart_seed]
         )
@@ -800,44 +828,20 @@ def family_unitary(family: GateFamily) -> np.ndarray:
     return build_canonical_unitary(clamped.canonical_alpha())
 
 
-def _search_task(task) -> list:
-    """``_capacities`` of one pool task's arguments."""
-    return _capacities(*task)
-
-
-def _pool_size(workers: int, rows: int) -> int:
-    """Processes for a sweep: never more than its rows or the CPUs this
-    process may run on (all the machine's where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(workers, rows, cpus))
-
-
-def __getattr__(name):
-    """The process pool, imported on first use: it loads multiprocessing."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
     """Capacity of each (label, gate builder, builder argument) row.
 
     Every row's gate is built and checked first; a domain error there makes
     that row an error row.  Each distinct gate (by its bytes) then searches
-    once, all in lockstep: all restarts of all gates climb, polish and
-    certify as one block, and each gate reduces its own restarts.  With
-    workers > 1 each process takes one contiguous chunk of the distinct
-    gates as its block.  A restart's result depends only on its seed, config
-    and gate, so rows come out the same for any chunking, and a row whose
-    gate repeats an earlier one's reports the same search.
+    once, all in one ``_capacities`` call on up to ``workers`` processes.  A
+    restart's result depends only on its seed and gate, so rows come out the
+    same for any worker count, and a row whose gate repeats an earlier one's
+    reports the same search.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
     if not rows:
         raise ValueError("need at least one grid point")
-    cfg = cfg or _default_config(anc_a, anc_b)
     built, gates = [], {}
     for label, gate, argument in rows:
         try:
@@ -852,21 +856,9 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
             key = u.tobytes()
             built.append((label, key))
             gates.setdefault(key, u)
-    distinct = list(gates.values())
-    size = _pool_size(workers, len(distinct))
-    tasks = [
-        (distinct[i * len(distinct) // size : (i + 1) * len(distinct) // size],
-         measure, anc_a, anc_b, cfg, product_start)
-        for i in range(size) if distinct
-    ]
-    if size == 1:
-        blocks = list(map(_search_task, tasks))
-    else:
-        name = "ProcessPoolExecutor"  # one set on the module wins
-        executor = globals().get(name) or __getattr__(name)
-        with executor(max_workers=size) as pool:
-            blocks = list(pool.map(_search_task, tasks))
-    found = dict(zip(gates, (result for block in blocks for result in block)))
+    found = dict(zip(gates, _capacities(
+        list(gates.values()), measure, anc_a, anc_b, cfg, product_start, workers
+    ) if gates else ()))
     out = []
     for label, key in built:
         result = key if isinstance(key, Exception) else found[key]
@@ -892,11 +884,10 @@ def family_sweep(
 ) -> list[SweepRow]:
     """Capacity at each alpha of a family grid.
 
-    All restarts of all distinct gates search as one lockstep block, and
-    each gate reduces its own; with workers > 1 each process takes one
-    contiguous chunk of those gates as its block.  Every row equals
-    ``numeric_capacity`` on its gate bit for bit, so results are identical
-    for any worker count.
+    The restarts of all distinct gates search in lockstep blocks of
+    contiguous gates, at least one block per process of up to ``workers``,
+    and each gate reduces its own.  Every row equals ``numeric_capacity`` on
+    its gate bit for bit, so results are identical for any worker count.
     """
     rows = [(float(a), family_unitary, GateFamily(kind, float(a))) for a in alphas]
     return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)

@@ -89,8 +89,9 @@ def _require_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {u.shape}")
-    residual = np.abs(u.conj().T @ u - IDENTITY4).max()
-    # written so that a NaN residual fails too
+    # Huge entries overflow to inf or NaN; the test below fails NaN too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(u.conj().T @ u - IDENTITY4).max()
     if not residual <= atol:
         raise NotUnitaryError(
             f"matrix is not unitary: residual {residual:.3e} exceeds tolerance {atol:g}"
@@ -207,14 +208,16 @@ def build_canonical_unitary(params) -> np.ndarray:
     """Interaction unitary exp(i sum_j a_j sigma_j x sigma_j).
 
     Accepts either a CanonicalParams-like object with an ``alpha`` attribute
-    or a plain length-3 sequence.  Any real coefficients are allowed; the
-    result is diagonal in BELL_BASIS with eigenphases lambdas_from_alpha.
+    or a plain length-3 sequence.  Any finite real coefficients are allowed;
+    the result is diagonal in BELL_BASIS with eigenphases lambdas_from_alpha.
     """
     alpha = np.asarray(getattr(params, "alpha", params), dtype=float)
     if alpha.shape != (3,):
         raise DimensionMismatchError(
             f"expected three interaction coefficients, got shape {alpha.shape}"
         )
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"coefficients must be finite, got {tuple(alpha.tolist())}")
     phases = np.exp(1j * lambdas_from_alpha(alpha))
     return (BELL_BASIS * phases) @ BELL_BASIS_DAGGER
 

@@ -132,6 +132,16 @@ def test_decompose_rejects_json_entries_that_are_no_float(tmp_path, capsys, entr
     assert capsys.readouterr().err.startswith("error: entry (0,0)")
 
 
+def test_overflowing_matrix_fails_the_unitarity_check(tmp_path, capsys):
+    # U^dagger U overflows for a 1e308 entry; the residual is then not
+    # finite, which fails the check as any other residual above tolerance.
+    huge = CNOT.astype(complex)
+    huge[0, 0] = 1e308
+    path = _write_json(tmp_path / "huge.json", huge)
+    assert main(["capacity", "--matrix", path, "--measure", "c2"]) == 1
+    assert capsys.readouterr().err.startswith("error: matrix is not unitary")
+
+
 def test_parse_matrix_unitarity_gate(tmp_path):
     m = np.eye(4)
     m[0, 0] = 1.1
@@ -319,6 +329,9 @@ def test_exit_codes(cnot_file, tmp_path, capsys):
         ["sweep", "--family", "cnot", "--steps", "2"],
     ):
         assert main([*command, "--measure", "c2", "--tol", "1e-8"]) == 2
+    # Nor an iteration cap: that is the search's own.
+    assert main(["optimize", "--matrix", cnot_file, "--measure", "c2",
+                 "--max-iterations", "5"]) == 2
     assert main(["not-a-command"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -346,7 +359,6 @@ def test_config_validation_errors_exit_1(cnot_file, capsys):
     optimize = ["optimize", "--matrix", cnot_file, "--measure", "c2"]
     sweep = ["sweep", "--family", "cnot", "--measure", "c2"]
     for argv, error in [
-        ([*optimize, "--max-iterations", "0"], "error: need at least one iteration"),
         ([*optimize, "--restarts", "0"], "error: need at least one restart"),
         ([*sweep, "--restarts", "0"], "error: need at least one restart"),
     ]:
@@ -369,6 +381,17 @@ def test_sweep_without_workers_or_grid_points_exits_1(capsys):
         captured = capsys.readouterr()
         assert error in captured.err, argv
         assert captured.out == "", argv
+
+
+def test_sweep_grid_bounds_must_be_finite(capsys):
+    # linspace would warn and fill the grid with NaN and inf rows.
+    sweep = ["sweep", "--family", "cnot", "--measure", "c2", "--restarts", "2"]
+    for bounds in (["--alpha-max", "inf"], ["--alpha-min=-inf"],
+                   ["--alpha-min", "nan"]):
+        assert main([*sweep, *bounds]) == 1, bounds
+        captured = capsys.readouterr()
+        assert "error: --alpha-min and --alpha-max must be finite" in captured.err
+        assert captured.out == "", bounds
 
 
 def test_sweep_csv_contract(capsys):

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,8 @@ FAST = OptimizerConfig(restarts=6, master_seed=11)
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
+    # A config names the restart sample only; how to search is the search's.
+    assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "master_seed"]
 
 
 def test_parameterize_state_basics():
@@ -159,9 +159,9 @@ def test_nan_restart_is_never_best_nor_converged(monkeypatch):
     real = optimize._ascend
     seen = []
 
-    def first_restart_nan(objective, raw0, cfg):
+    def first_restart_nan(objective, raw0):
         # The first restart's exit reports NaN at a point that certifies.
-        raw, value = real(objective, raw0, cfg)
+        raw, value = real(objective, raw0)
         value[0] = math.nan
         seen.append(value.size)
         return raw, value
@@ -173,8 +173,8 @@ def test_nan_restart_is_never_best_nor_converged(monkeypatch):
     assert res.converged_restarts <= FAST.restarts - 1
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    def every_restart_nan(objective, raw0, cfg):
-        raw, value = real(objective, raw0, cfg)
+    def every_restart_nan(objective, raw0):
+        raw, value = real(objective, raw0)
         return raw, np.full_like(value, math.nan)
 
     monkeypatch.setattr(optimize, "_ascend", every_restart_nan)
@@ -185,9 +185,9 @@ def test_nan_restart_is_never_best_nor_converged(monkeypatch):
 def test_tied_restarts_report_the_lowest_seed(monkeypatch):
     real = optimize._ascend
 
-    def tied(objective, raw0, cfg):
+    def tied(objective, raw0):
         # Every restart but the first claims one value; the first is lower.
-        raw, value = real(objective, raw0, cfg)
+        raw, value = real(objective, raw0)
         value[:] = 0.5
         value[0] = 0.4
         return raw, value
@@ -349,7 +349,7 @@ class _SteepQuadratic:
         return grad
 
 
-def test_climb_moves_through_halving_rungs_when_the_ladder_fails():
+def test_climb_moves_through_halving_rungs_when_the_ladder_fails(monkeypatch):
     objective = _SteepQuadratic()
     raw0 = np.array([[0.8, 0.6, 0.0, 0.0]])
     value0 = objective.values(raw0)
@@ -361,9 +361,11 @@ def test_climb_moves_through_halving_rungs_when_the_ladder_fails():
         (optimize._LADDER[: optimize._ASCENT_RUNGS],),
     )
     assert not found[0]
-    _, value = optimize._climb(objective, raw0, OptimizerConfig(max_iterations=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_MAX_ITERATIONS", 1)
+        _, value = optimize._climb(objective, raw0)
     assert value[0] > value0[0]
-    _, value = optimize._climb(objective, raw0, OptimizerConfig())
+    _, value = optimize._climb(objective, raw0)
     assert value[0] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -406,12 +408,11 @@ def test_restart_result_independent_of_batch(u, measure, anc):
     # Restarts climb and polish in lockstep, but each one's path, polish and
     # certificate must depend only on its own seed.
     objective = optimize._CutObjective(u, measure, *anc)
-    cfg = OptimizerConfig(restarts=8)
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-    raw, value = optimize._ascend(objective, raw0, cfg)
+    raw, value = optimize._ascend(objective, raw0)
     certificate = optimize._certificate_norms(objective, raw)
     for i in range(8):
-        alone_raw, alone_value = optimize._ascend(objective, raw0[i : i + 1], cfg)
+        alone_raw, alone_value = optimize._ascend(objective, raw0[i : i + 1])
         alone_certificate = optimize._certificate_norms(objective, alone_raw)
         assert abs(alone_value[0] - value[i]) <= 1e-12, i
         assert abs(alone_certificate[0] - certificate[i]) <= 1e-12, i
@@ -437,15 +438,15 @@ MIXED_GATES = [
 def test_restart_result_independent_of_batch_with_mixed_gates(measure, anc):
     # A sweep climbs the restarts of several gates as one block: each
     # restart must end exactly where its gate's restarts end climbing alone.
-    k, cfg = 6, OptimizerConfig(restarts=6)
+    k = 6
     block = optimize._CutObjective(MIXED_GATES, measure, *anc)
     block = block.take(np.repeat(np.arange(len(MIXED_GATES)), k))
     starts = np.array([make_rng(s).standard_normal(block.n_raw) for s in range(k)])
-    raw, value = optimize._ascend(block, np.tile(starts, (len(MIXED_GATES), 1)), cfg)
+    raw, value = optimize._ascend(block, np.tile(starts, (len(MIXED_GATES), 1)))
     certificate = optimize._certificate_norms(block, raw)
     for g, u in enumerate(MIXED_GATES):
         alone = optimize._CutObjective(u, measure, *anc)
-        alone_raw, alone_value = optimize._ascend(alone, starts, cfg)
+        alone_raw, alone_value = optimize._ascend(alone, starts)
         rows = slice(g * k, (g + 1) * k)
         assert np.array_equal(alone_raw, raw[rows]), g
         assert np.array_equal(alone_value, value[rows]), g
@@ -488,7 +489,7 @@ def test_crawling_restarts_are_handed_to_the_polish():
         optimize._CutObjective(u, MeasureKind.ENTROPY_OF_ENTANGLEMENT, 0, 0)
     )
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-    _, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+    _, value = optimize._ascend(objective, raw0)
     assert objective.rows <= 10_000
     assert np.all(value >= 1 - 1e-7)
 
@@ -508,7 +509,7 @@ def test_linearly_crawling_restarts_are_handed_to_the_polish():
             optimize._CutObjective(build_canonical_unitary(triple), measure, 0, 0)
         )
         raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-        raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+        raw, value = optimize._ascend(objective, raw0)
         assert sum(name == "gradients" for name, _ in objective.calls) <= 60, measure
         certificate = optimize._certificate_norms(objective.objective, raw)
         assert np.all(certificate < optimize._CONVERGED_GRAD_NORM), measure
@@ -554,7 +555,7 @@ def test_step_capped_rows_climb_along_quasi_newton_directions(alpha):
         build_canonical_unitary(alpha), MeasureKind.CONCURRENCE_SQUARED, 0, 0
     ))
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-    raw, value = optimize._ascend(objective, raw0, OptimizerConfig(restarts=8))
+    raw, value = optimize._ascend(objective, raw0)
     assert sum(name == "gradients" for name, _ in objective.calls) <= 40
     certificate = optimize._certificate_norms(objective.objective, raw)
     assert np.all(certificate < optimize._CONVERGED_GRAD_NORM)
@@ -584,7 +585,7 @@ def test_smooth_measures_climb_one_stall_window_then_polish(
         optimize._CutObjective(build_canonical_unitary(triple), measure, anc, anc)
     )
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(8)])
-    raw, value = optimize._climb(objective, raw0, OptimizerConfig(restarts=8))
+    raw, value = optimize._climb(objective, raw0)
     climb = sum(name == "gradients" for name, _ in objective.calls)
     if climb_calls is None:
         assert climb <= optimize._STALL_WINDOW
@@ -638,14 +639,17 @@ class _RaySpy:
     ],
     ids=["entropy", "entropy-a11", "concurrence", "c2"],
 )
-def test_only_smooth_measures_climb_off_the_gradient_ray(measure, anc, smooth):
+def test_only_smooth_measures_climb_off_the_gradient_ray(
+    monkeypatch, measure, anc, smooth
+):
     # The kinked measures keep no quasi-Newton memory: every trial lies on
     # its row's gradient ray.  On c2 some trials follow L-BFGS directions.
     log = {"on": 0, "off": 0}
     objective = optimize._CutObjective(REGION_1_GATE, measure, *anc)
     spy = _RaySpy(objective, np.arange(8), log)
     raw0 = np.array([make_rng(s).standard_normal(spy.n_raw) for s in range(8)])
-    optimize._climb(spy, raw0, OptimizerConfig(max_iterations=40))
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 40)
+    optimize._climb(spy, raw0)
     assert log["on"] > 0
     assert (log["off"] > 0) == smooth, log
 
@@ -700,7 +704,9 @@ class _StepSpy:
     ],
     ids=["entropy-a11", "entropy", "concurrence", "c2"],
 )
-def test_only_kinked_measures_with_ancillas_accept_lower_values(measure, anc, nonmonotone):
+def test_only_kinked_measures_with_ancillas_accept_lower_values(
+    monkeypatch, measure, anc, nonmonotone
+):
     # With ancillas the entropy climbs by Raydan's global Barzilai-Borwein
     # method: a step may lower a row's value, and the secant step is capped
     # at 1.  Everywhere else each accepted step raises the value, and the
@@ -709,7 +715,8 @@ def test_only_kinked_measures_with_ancillas_accept_lower_values(measure, anc, no
     objective = optimize._CutObjective(REGION_1_GATE, measure, *anc)
     spy = _StepSpy(objective, np.arange(8), log)
     raw0 = np.array([make_rng(s).standard_normal(spy.n_raw) for s in range(8)])
-    optimize._climb(spy, raw0, OptimizerConfig(max_iterations=40))
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 40)
+    optimize._climb(spy, raw0)
     assert log["steps"]
     assert (log["lowered"] > 0) == nonmonotone, log["lowered"]
     longest = max(log["steps"])
@@ -732,7 +739,7 @@ class _LiveRowCounter(_RowCounter):
         return grad
 
 
-def test_line_search_tries_the_secant_rung_alone_first():
+def test_line_search_tries_the_secant_rung_alone_first(monkeypatch):
     # At n = 8 as for every n: the first values call after each gradients
     # call of the climb has one trial per live row (done rows try no rung).
     objective = _LiveRowCounter(
@@ -740,7 +747,8 @@ def test_line_search_tries_the_secant_rung_alone_first():
     )
     assert objective.n_raw == 8
     raw0 = np.array([make_rng(s).standard_normal(8) for s in range(4)])
-    optimize._climb(objective, raw0, OptimizerConfig(max_iterations=30))
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 30)
+    optimize._climb(objective, raw0)
     calls = objective.calls
     iterations = [i for i, (name, _) in enumerate(calls) if name == "gradients"]
     assert len(iterations) > 1
@@ -758,7 +766,7 @@ def test_line_search_tries_the_secant_rung_alone_first():
     ids=["c2", "entropy-a11"],
 )
 def test_polish_tries_the_full_newton_step_alone_first_on_smooth_measures(
-    measure, anc, smooth
+    monkeypatch, measure, anc, smooth
 ):
     # A polish round is one gradients call on its rows, the Hessians' calls
     # (2n rows per polishing row) and then the line search's values calls.
@@ -767,7 +775,8 @@ def test_polish_tries_the_full_newton_step_alone_first_on_smooth_measures(
     objective = _RowCounter(optimize._CutObjective(REGION_1_GATE, measure, *anc))
     n = objective.n_raw
     raw0 = np.array([make_rng(s).standard_normal(n) for s in range(4)])
-    raw, value = optimize._climb(objective.objective, raw0, OptimizerConfig(max_iterations=3))
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 3)
+    raw, value = optimize._climb(objective.objective, raw0)
     optimize._newton_polish(objective, raw, value)
     # Per round: [gradient rows, Hessian rows, rows of the first values call].
     rounds, calls = [], objective.calls
@@ -788,13 +797,14 @@ def test_polish_tries_the_full_newton_step_alone_first_on_smooth_measures(
             assert first % ladder == 0 and first <= ladder * polishing, (polishing, first)
 
 
-def test_polish_leaves_converged_rows_bit_identical():
+def test_polish_leaves_converged_rows_bit_identical(monkeypatch):
     # A mixed block: rows that certify at their climb's exit, and rows cut
     # short after a few iterations.
     objective = optimize._CutObjective(REGION_1_GATE, MeasureKind.LINEAR_ENTROPY, 0, 0)
     raw0 = np.array([make_rng(s).standard_normal(objective.n_raw) for s in range(6)])
-    done = optimize._ascend(objective, raw0[:3], OptimizerConfig())
-    rough = optimize._climb(objective, raw0[3:], OptimizerConfig(max_iterations=3))
+    done = optimize._ascend(objective, raw0[:3])
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 3)
+    rough = optimize._climb(objective, raw0[3:])
     raw, value = (np.concatenate(pair) for pair in zip(done, rough))
     grad = optimize._tangent(objective.gradients(raw), raw)
     small = np.sqrt(np.sum(grad**2, axis=1)) < optimize._EXIT_GRAD_NORM
@@ -933,10 +943,11 @@ def test_product_start_never_exceeds_free_start():
         assert prod.value >= -1e-12
 
 
-def test_convergence_failure_raises():
+def test_convergence_failure_raises(monkeypatch):
     # dimension-64 problems skip the second-order cleanup, so a one-iteration
     # budget cannot reach the gradient threshold on any restart
-    cfg = OptimizerConfig(restarts=2, max_iterations=1, master_seed=1)
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 1)
+    cfg = OptimizerConfig(restarts=2, master_seed=1)
     with pytest.raises(ConvergenceError):
         numeric_capacity(
             SWAP, MeasureKind.ENTROPY_OF_ENTANGLEMENT, anc_a=2, anc_b=2, cfg=cfg
@@ -1262,9 +1273,9 @@ def test_ascend_never_holds_more_rows_than_a_block(monkeypatch, block, most):
     # restart when a single one exceeds it (n = 8 for c2).
     sizes, real = [], optimize._ascend
 
-    def recorded(objective, raw0, cfg):
+    def recorded(objective, raw0):
         sizes.append(len(raw0))
-        return real(objective, raw0, cfg)
+        return real(objective, raw0)
 
     monkeypatch.setattr(optimize, "_ascend", recorded)
     monkeypatch.setattr(optimize, "_BLOCK_PARAMETERS", block)
@@ -1277,10 +1288,12 @@ def test_ascend_never_holds_more_rows_than_a_block(monkeypatch, block, most):
 _PEAK_RSS_SCRIPT = """
 import resource, sys
 from entcap.errors import ConvergenceError
+from entcap import optimize
 from entcap.measures import MeasureKind
 from entcap.optimize import OptimizerConfig, numeric_capacity
 from entcap.qcore import DCNOT
-cfg = OptimizerConfig(restarts=int(sys.argv[1]), max_iterations=3)
+optimize._MAX_ITERATIONS = 3
+cfg = OptimizerConfig(restarts=int(sys.argv[1]))
 try:
     numeric_capacity(DCNOT, MeasureKind.LINEAR_ENTROPY, 2, 2, cfg)
 except ConvergenceError:  # three iterations certify nothing: only memory counts
@@ -1334,6 +1347,18 @@ def test_custom_sweep_nan_angle_is_an_error_row():
     assert rows[1].capacity == pytest.approx(np.sin(0.6), abs=1e-5)
 
 
+def test_custom_sweep_infinite_angle_is_an_error_row():
+    # The gate is never built from an infinite angle, so no numpy warning
+    # precedes the error row.
+    rows = custom_sweep(
+        [(np.inf, 0.0, 0.0), (0.3, -np.inf, 0.0)], MeasureKind.CONCURRENCE_SQUARED,
+        cfg=FAST,
+    )
+    for row in rows:
+        assert math.isnan(row.capacity) and row.converged_restarts == 0
+        assert "coefficients must be finite" in row.error
+
+
 def test_minimize_initial_entanglement_keeps_value():
     u = build_canonical_unitary((0.15, 0.1, 0.05))
     base = numeric_capacity(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
@@ -1360,14 +1385,15 @@ def test_minimize_initial_entanglement_cnot_reaches_product():
     assert low.initial_entanglement < 1e-6
 
 
-def test_minimize_initial_entanglement_warns_when_search_misses_target():
+def test_minimize_initial_entanglement_warns_when_search_misses_target(monkeypatch):
     # With a negligible penalty the search only lowers E0 and drifts off
     # capacity: twelve tenfold raises still leave it at 1.
     u = build_canonical_unitary((0.15, 0.1, 0.05))
     base = numeric_capacity(u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    monkeypatch.setattr(optimize, "_PENALTY", 1e-12)
     with pytest.warns(RuntimeWarning, match="short of its target"):
         low = minimize_initial_entanglement(
-            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, penalty=1e-12
+            u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST
         )
     assert low.value == base.value
     assert low.initial_entanglement == base.initial_entanglement
@@ -1380,10 +1406,8 @@ def test_minimize_initial_entanglement_warns_when_search_misses_target():
         {"value_slack": -1e-3},
         {"value_slack": 0.0},
         {"value_slack": math.nan},
-        {"penalty": 0.0},
-        {"penalty": -5.0},
     ],
-    ids=["negative-slack", "zero-slack", "nan-slack", "zero-penalty", "negative-penalty"],
+    ids=["negative-slack", "zero-slack", "nan-slack"],
 )
 def test_minimize_initial_entanglement_rejects_bad_slack_and_penalty(
     monkeypatch, arguments
@@ -1394,7 +1418,7 @@ def test_minimize_initial_entanglement_rejects_bad_slack_and_penalty(
 
     monkeypatch.setattr(optimize, "_capacities", no_search)
     u = build_canonical_unitary((0.3, 0.2, 0.1))
-    with pytest.raises(ValueError, match="slack and penalty"):
+    with pytest.raises(ValueError, match="value_slack must be finite and positive"):
         minimize_initial_entanglement(
             u, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST, **arguments
         )
