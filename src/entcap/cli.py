@@ -332,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes the sweep uses; the distinct gates split into "
-        "contiguous blocks, at least one per process, and the output bytes do "
-        "not depend on this count",
+        help="processes the sweep uses; the restarts of the distinct gates "
+        "split into contiguous blocks, at least one per process, and the "
+        "output bytes do not depend on this count",
     )
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub.set_defaults(handler=_cmd_sweep)

@@ -22,9 +22,9 @@ is the measure of U psi, its closed-form gradient pulled back through
 U^dagger; central differences serve only the certificate and the polish's
 Hessians.
 
-All restarts of one search climb in lockstep as one block: each iteration
-makes one ``gradients`` call and one line search for the rows still
-climbing, while every row keeps its own step, stall window and exit.  One
+The restarts of a block climb in lockstep: each iteration makes one
+``gradients`` call and one line search for the rows still climbing, while
+every row keeps its own step, stall window and exit.  One
 rule says when a row is done, in the climb and the polish alike: its
 analytic tangent norm is below half the certificate's bound, so a row that
 reaches an optimum certifies there.  With at most 64 parameters a row whose
@@ -40,7 +40,9 @@ and certifies together.  As rows leave, the climb and the polish drop them
 in one place, ``_keep``, which restricts the objective and every per-row
 array to the rows still held; both store their rows after each line search.
 A single search is the one-gate case of the same path.  ``_capacities``
-splits the gates into contiguous blocks, at least one per process.
+lays every gate's restarts out as rows, gate by gate, cuts them once into
+contiguous blocks, at least one per process, and reduces each gate's
+restarts in the calling process.
 
 Determinism: restart i draws its start from a counter-based generator
 seeded with master_seed + i, and its result depends only on that seed and
@@ -52,7 +54,6 @@ are scheduled.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import warnings
@@ -197,11 +198,6 @@ def parameterize_state(raw: np.ndarray) -> PureState:
     return PureState(_unit_rows(raw[None, :])[0][0])
 
 
-def ancilla_partition(anc_a: int, anc_b: int) -> tuple[str, ...]:
-    """Ownership labels for the (Alice ancillas, shared pair, Bob ancillas) layout."""
-    return ("A",) * (anc_a + 1) + ("B",) * (anc_b + 1)
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis of real rows, kept as a length-1 axis."""
     return np.sqrt(_dots(rows, rows))[..., None]
@@ -262,7 +258,7 @@ class _CutObjective:
         self.dim_pre = 2**anc_a
         self.dim_post = 2**anc_b
         self.dim = self.dim_a * self.dim_b
-        self.partition = ancilla_partition(anc_a, anc_b)
+        self.partition = ("A",) * (anc_a + 1) + ("B",) * (anc_b + 1)
         self.n_raw = 2 * (self.dim_a + self.dim_b if product else self.dim)
 
     def take(self, rows):
@@ -606,25 +602,24 @@ def _default_config(anc_a: int, anc_b: int) -> OptimizerConfig:
     return OptimizerConfig(restarts=64 if anc_a + anc_b >= 4 else 32)
 
 
-def _results(objective, raw: np.ndarray, rows, converged, seeds) -> list:
-    """The result for each row ``rows[j]`` of ``raw``, with ``converged[j]``
-    certified restarts and best seed ``seeds[j]``, its values read off its
-    state; all rows share one kernel call."""
-    part = objective.take(rows)
-    states = part._states(raw.take(rows, axis=0))[0]
-    e0, ef = (e.tolist() for e in part.terms(states))
+def _results(objective, raw: np.ndarray, converged, seeds) -> list:
+    """The result for each row j of ``raw``, a row of ``objective``, with
+    ``converged[j]`` certified restarts and best seed ``seeds[j]``, its values
+    read off its state; all rows share one kernel call."""
+    states = objective._states(raw)[0]
+    e0, ef = (e.tolist() for e in objective.terms(states))
     return [
-        CapacityResult(f - i, PureState(state, part.partition), i, f, c, seed)
+        CapacityResult(f - i, PureState(state, objective.partition), i, f, c, seed)
         for state, i, f, c, seed in zip(states, e0, ef, converged, seeds)
     ]
 
 
-def _pool_size(workers: int, gates: int) -> int:
-    """Processes for a search: never more than its gates or the CPUs this
-    process may run on (all the machine's where affinity is unknown)."""
+def _pool_size(workers: int, rows: int) -> int:
+    """Processes for a search: never more than its restart rows or the CPUs
+    this process may run on (all the machine's where affinity is unknown)."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(workers, gates, cpus))
+    return max(1, min(workers, rows, cpus))
 
 
 def __getattr__(name):
@@ -635,63 +630,55 @@ def __getattr__(name):
     return ProcessPoolExecutor
 
 
-def _search_block(starts, seeds, block) -> list:
-    """Search each gate of ``block`` from ``starts`` (seeded ``seeds``): its
-    rows climb and polish in lockstep, in parts of at most ``_BLOCK_PARAMETERS``
-    parameters, then certify.  Per gate: its CapacityResult, or the
-    ConvergenceError of a gate none of whose restarts certified."""
-    k, count = len(starts), len(block.u)
-    rows = block.take(np.repeat(np.arange(count), k))
-    raw0 = np.tile(starts, (count, 1))
-    size = max(1, _BLOCK_PARAMETERS // block.n_raw)
-    raw, value = (np.concatenate(part) for part in zip(*(
-        _ascend(rows.take(slice(i, i + size)), raw0[i : i + size])
-        for i in range(0, len(raw0), size)
-    )))
-    # A restart converged if its certificate at the exit point holds; a
-    # NaN restart neither counts nor wins.
-    converged = _certificate_norms(rows, raw) < _CONVERGED_GRAD_NORM
-    converged &= ~np.isnan(value)
-    certified = converged.reshape(count, k).sum(axis=1)
-    found = np.flatnonzero(certified)
-    # nanargmax returns the first maximum, which belongs to the lowest seed.
-    best = np.nanargmax(value.reshape(count, k)[found], axis=1)
-    picks = found * k + best, certified[found].tolist(), [seeds[b] for b in best]
-    results = iter(_results(rows, raw, *picks) if found.size else ())
-    error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
-    return [next(results) if c else ConvergenceError(error) for c in certified]
+def _search(task):
+    """Climb, polish and certify one block: ``task`` is the objective on its
+    restart rows and their starts.  Returns (raw, value, converged), where
+    a NaN restart has not converged."""
+    objective, starts = task
+    raw, value = _ascend(objective, starts)
+    converged = _certificate_norms(objective, raw) < _CONVERGED_GRAD_NORM
+    return raw, value, converged & ~np.isnan(value)
 
 
 def _capacities(gates, measure, anc_a, anc_b, cfg, product=False, workers=1):
-    """Multi-start search of every gate in ``gates``, in lockstep blocks.
+    """Multi-start search of every gate in ``gates``; the one place that
+    cuts a search up.
 
     Each gate gets the restarts seeded master_seed, ..., master_seed + k - 1
-    (k = cfg.restarts, by default ``_default_config``'s), drawn once.
-    Consecutive gates form blocks of at most ``_BLOCK_PARAMETERS``
-    parameters and at least one gate, and at least as many blocks as
-    ``_pool_size`` processes, which search them on a pool if there are
-    several.  Returns ``_search_block``'s results, gate by gate.
+    (k = cfg.restarts, by default ``_default_config``'s), drawn once; row
+    g k + i is gate g's restart i.  The rows split once into contiguous
+    blocks of whole rows, at most ``_BLOCK_PARAMETERS`` parameters each (at
+    least one row), and at least one block per ``_pool_size`` process, and
+    ``_search`` runs on each, on a pool if there are several.  Each gate's
+    restarts then reduce here, to its result from its best certified
+    restart (lowest seed on ties), or a ConvergenceError if none certified.
     """
     cfg = cfg or _default_config(anc_a, anc_b)
     objective = _CutObjective(gates, measure, anc_a, anc_b, product)
     seeds = range(cfg.master_seed, cfg.master_seed + cfg.restarts)
     starts = np.array([make_rng(s).standard_normal(objective.n_raw) for s in seeds])
-    count, per_block = len(objective.u), max(1, _BLOCK_PARAMETERS // starts.size)
-    processes = _pool_size(workers, count)
-    parts = max(processes, -(-count // per_block))
-    blocks = [
-        objective.take(slice(i * count // parts, (i + 1) * count // parts))
-        for i in range(parts)
-    ]
-    search = functools.partial(_search_block, starts, seeds)
+    count, k = len(objective.u), len(starts)
+    processes = _pool_size(workers, count * k)
+    per_block = max(1, _BLOCK_PARAMETERS // objective.n_raw)
+    parts = max(processes, -(-count * k // per_block))
+    tasks = ((objective.take(rows // k), starts[rows % k])
+             for rows in np.array_split(np.arange(count * k), parts))
     if processes == 1:
-        found = list(map(search, blocks))
+        found = list(map(_search, tasks))
     else:
         name = "ProcessPoolExecutor"  # one set on the module wins
         executor = globals().get(name) or __getattr__(name)
         with executor(max_workers=processes) as pool:
-            found = list(pool.map(search, blocks))
-    return [result for block in found for result in block]
+            found = list(pool.map(_search, tasks))
+    raw, value, converged = (np.concatenate(part) for part in zip(*found))
+    certified = converged.reshape(count, k).sum(axis=1)
+    done = np.flatnonzero(certified)
+    # nanargmax returns the first maximum, which belongs to the lowest seed.
+    best = np.nanargmax(value.reshape(count, k)[done], axis=1)
+    picks = raw[done * k + best], certified[done].tolist(), [seeds[b] for b in best]
+    results = iter(_results(objective.take(done), *picks) if done.size else ())
+    error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"
+    return [next(results) if c else ConvergenceError(error) for c in certified]
 
 
 def _capacity(u, measure, anc_a, anc_b, cfg, product):
@@ -754,7 +741,7 @@ def minimize_initial_entanglement(
     for _ in range(_MULTIPLIER_ROUNDS):
         raw, _ = _ascend(penalized, raw)
         (result,) = _results(
-            penalized, raw, [0], [base.converged_restarts], [base.best_restart_seed]
+            penalized, raw, [base.converged_restarts], [base.best_restart_seed]
         )
         if result.value >= target:
             return result
@@ -833,10 +820,11 @@ def _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers):
 
     Every row's gate is built and checked first; a domain error there makes
     that row an error row.  Each distinct gate (by its bytes) then searches
-    once, all in one ``_capacities`` call on up to ``workers`` processes.  A
-    restart's result depends only on its seed and gate, so rows come out the
-    same for any worker count, and a row whose gate repeats an earlier one's
-    reports the same search.
+    once, all in one ``_capacities`` call, whose restart rows split among up
+    to ``workers`` processes and reduce in this one.  A restart's result
+    depends only on its seed and gate, so rows come out the same for any
+    worker count, and a row whose gate repeats an earlier one's reports the
+    same search.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -884,10 +872,10 @@ def family_sweep(
 ) -> list[SweepRow]:
     """Capacity at each alpha of a family grid.
 
-    The restarts of all distinct gates search in lockstep blocks of
-    contiguous gates, at least one block per process of up to ``workers``,
-    and each gate reduces its own.  Every row equals ``numeric_capacity`` on
-    its gate bit for bit, so results are identical for any worker count.
+    The restarts of every distinct gate search in lockstep blocks of restart
+    rows, split among up to ``workers`` processes; each gate reduces its own
+    in this process.  Every row equals ``numeric_capacity`` on its gate bit
+    for bit, so results are identical for any worker count.
     """
     rows = [(float(a), family_unitary, GateFamily(kind, float(a))) for a in alphas]
     return _run_sweep(rows, measure, anc_a, anc_b, cfg, product_start, workers)

@@ -208,17 +208,21 @@ def build_canonical_unitary(params) -> np.ndarray:
     """Interaction unitary exp(i sum_j a_j sigma_j x sigma_j).
 
     Accepts either a CanonicalParams-like object with an ``alpha`` attribute
-    or a plain length-3 sequence.  Any finite real coefficients are allowed;
-    the result is diagonal in BELL_BASIS with eigenphases lambdas_from_alpha.
+    or a plain length-3 sequence.  Real coefficients with finite eigenphases
+    are allowed; the result is diagonal in BELL_BASIS with eigenphases
+    lambdas_from_alpha.
     """
     alpha = np.asarray(getattr(params, "alpha", params), dtype=float)
     if alpha.shape != (3,):
         raise DimensionMismatchError(
             f"expected three interaction coefficients, got shape {alpha.shape}"
         )
-    if not np.isfinite(alpha).all():
-        raise ValueError(f"coefficients must be finite, got {tuple(alpha.tolist())}")
-    phases = np.exp(1j * lambdas_from_alpha(alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambdas = lambdas_from_alpha(alpha)
+    if not np.isfinite(lambdas).all():  # as for any NaN or infinite coefficient
+        raise ValueError("coefficients must be finite, with finite eigenphases, "
+                         f"got {tuple(alpha.tolist())}")
+    phases = np.exp(1j * lambdas)
     return (BELL_BASIS * phases) @ BELL_BASIS_DAGGER
 
 

@@ -1217,8 +1217,9 @@ def test_closed_forms_match_the_search_on_the_grid(measure, closed_form):
 
 
 def test_restarts_split_across_blocks_give_the_unsplit_result(monkeypatch):
-    # One gate's restarts exceed a shrunk block, so they search in parts of
-    # two; the gate blocks of the sweep hold one gate each.
+    # Shrunk blocks hold two restart rows each, 64 parameters at 1+1 and 16
+    # on c2: the single search's six restarts climb in three blocks, and so
+    # does each gate of the sweep.
     u = _dressed(3, (np.pi / 8, np.pi / 8, 0.0))
     entropy, c2 = MeasureKind.ENTROPY_OF_ENTANGLEMENT, MeasureKind.CONCURRENCE_SQUARED
     triples = [(0.3, 0.2, 0.1), (0.7, 0.5, 0.3)]
@@ -1265,6 +1266,28 @@ def test_certificate_chunking_changes_no_bit(monkeypatch):
         found, sweep, outcome = run()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(found, want[0]))
         assert sweep == want[1] and outcome == want[2]
+
+
+def test_one_gate_restarts_span_two_processes(monkeypatch):
+    # A pool of two splits one gate's six restarts into a block of three per
+    # process, and the row comes out as the serial one.
+    sizes, real = [], optimize._ascend
+
+    def recorded(objective, raw0):
+        sizes.append(len(raw0))
+        return real(objective, raw0)
+
+    c2, triples = MeasureKind.CONCURRENCE_SQUARED, [(0.3, 0.2, 0.1)]
+    cfg = OptimizerConfig(restarts=6)
+    serial = custom_sweep(triples, c2, cfg=cfg)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(optimize, "_pool_size", lambda workers, rows: 2)
+    monkeypatch.setattr(optimize, "_ascend", recorded)
+    pooled = custom_sweep(triples, c2, cfg=cfg, workers=2)
+    assert sizes == [3, 3]
+    assert SerialPool.sizes == [2]
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("block, most", [(128, 10), (64, 5), (32, 4), (4, 1)])
@@ -1357,6 +1380,21 @@ def test_custom_sweep_infinite_angle_is_an_error_row():
     for row in rows:
         assert math.isnan(row.capacity) and row.converged_restarts == 0
         assert "coefficients must be finite" in row.error
+
+
+def test_custom_sweep_overflowing_angles_are_error_rows():
+    # Finite angles whose eigenphases overflow: the gate is refused before
+    # any numpy warning, which this test would raise as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = custom_sweep(
+            [(1e308, 1e308, 1e308), (1e308, 1e308, 0.0)],
+            MeasureKind.CONCURRENCE_SQUARED, cfg=FAST,
+        )
+    for row in rows:
+        assert row.alpha == 1e308
+        assert math.isnan(row.capacity) and row.converged_restarts == 0
+        assert "finite eigenphases" in row.error
 
 
 def test_minimize_initial_entanglement_keeps_value():
