@@ -19,8 +19,10 @@ Outside saturation every optimum is a mixture (B_j + e^{if} B_k)/sqrt(2) of
 the pair whose eigenphase gap Delta = lambda_k - lambda_j has the largest
 |sin Delta| (the gain above).  It has concurrence |cos f| before the gate and
 |cos(f + Delta)| after, so each measure is a function of f alone: explicit
-for the concurrence measures, one transcendental equation for the entropy.
-No result runs the numerical optimizer.
+for the concurrence measures, one transcendental equation for the entropy,
+whose root lies strictly between the concurrence's optimum (a product input)
+and the squared concurrence's: an entangled input helps.  No result runs the
+numerical optimizer.
 """
 from __future__ import annotations
 
@@ -34,17 +36,13 @@ import numpy as np
 
 from .canonical import CanonicalParams
 from .errors import DimensionMismatchError, NotCanonicalError
+from .measures import entropy_from_concurrence
 from .qcore import (
     BELL_BASIS, QUARTER_PI, PureState, lambdas_from_alpha, require_unit_norm,
 )
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 _TRIANGLES = tuple(itertools.combinations(range(4), 3))
-
-# One period of the mixing phase.  The entropy gain has one maximum per
-# period, so the best grid point's two neighbours bracket it.
-_PHASE_GRID = np.linspace(0.0, np.pi, 257)
-_PHASE_STEP = float(_PHASE_GRID[1])
 
 # Boundaries are a few ulps of pi/4 wide, so that the tag of a gate on one
 # does not hang on the last bit of ``decompose`` (accurate to ~6e-16).
@@ -163,18 +161,20 @@ def _mixture(j: int, k: int, f: float) -> PureState:
     return PureState(pair / math.sqrt(2.0))
 
 
-def capacity_c2(p) -> AnalyticCapacity:
-    """Largest single-use increase of squared concurrence, no ancillas.
+def _c2_phase(delta: float) -> float:
+    """Mixing phase of the c2 optimum: the gain cos^2(f + delta) - cos^2 f =
+    -sin(2f + delta) sin delta is largest at 2f + delta = -sign(delta) pi/2."""
+    return -(math.copysign(math.pi / 2, delta) + delta) / 2
 
-    Over the pair mixture the gain is cos^2(f + Delta) - cos^2(f) =
-    -sin(2f + Delta) sin(Delta), largest at 2f + Delta = -sign(sin Delta) pi/2.
-    """
+
+def capacity_c2(p) -> AnalyticCapacity:
+    """Largest single-use increase of squared concurrence, no ancillas,
+    from the pair mixture at ``_c2_phase``."""
     region, lam = _classified(p)
     if region is RegionTag.ONE_EBIT:
         return AnalyticCapacity(1.0, region, _saturating_input(lam), 0.0)
     j, k, delta = _widest_pair(lam)
-    value = abs(math.sin(delta))
-    f = -(math.copysign(math.pi / 2, delta) + delta) / 2
+    value, f = abs(math.sin(delta)), _c2_phase(delta)
     return AnalyticCapacity(value, region, _mixture(j, k, f), (1.0 - value) / 2.0)
 
 
@@ -215,49 +215,37 @@ def capacity_linear_entropy(p) -> AnalyticCapacity:
     )
 
 
-def _small_weight(f):
-    # Smaller Schmidt weight (1 - |sin f|)/2 at concurrence |cos f|, in a form
-    # that keeps full relative precision near product states.
-    return np.cos(f) ** 2 / (2.0 * (1.0 + np.abs(np.sin(f))))
-
-
-def _mixture_entropy(f):
-    """Entropy of entanglement of a two-qubit state with concurrence |cos f|."""
-    q = _small_weight(f)
-    return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(q)
-
-
-# E(|cos f|) on the grid, the same for every gate.
-_GRID_ENTROPY = _mixture_entropy(_PHASE_GRID)
-
-
 def _mixture_entropy_slope(f: float) -> float:
-    """d/df of ``_mixture_entropy`` at one float: sign(sin f) cos f
-    log2(q / (1 - q)) / 2, with q the ``_small_weight``."""
+    """d/df of E(|cos f|), the entropy at concurrence |cos f|: sign(sin f)
+    cos f log2(q / (1 - q)) / 2, with the smaller Schmidt weight q =
+    (1 - |sin f|)/2 in a form precise near product states, positive at any double."""
     s, c = math.sin(f), math.cos(f)
     q = c * c / (2.0 * (1.0 + abs(s)))
     return (c if s > 0.0 else -c) * math.log2(q / (1.0 - q)) / 2.0
 
 
 def _entropy_phase(delta: float) -> float:
-    """Mixing phase f maximizing E(|cos(f + delta)|) - E(|cos f|).
+    """Mixing phase f maximizing g(f) = E(|cos(f + delta)|) - E(|cos f|).
 
-    The best grid point's neighbours bracket the root of the derivative,
-    which Illinois regula falsi narrows to floating-point resolution: the
-    slope kept at an end that stays is halved, and a step that would leave
-    the bracket bisects it instead.  A gain flat to rounding has no sign
-    change, and the best grid point is returned.
+    With E = phi(C^2), phi increasing and strictly concave, and delta > 0
+    (f, delta -> -f, -delta gives the other sign): at the concurrence's
+    optimum, the product input f = -pi/2, the input term is flat and g' =
+    phi'(sin^2 delta) sin 2delta > 0; at the c2 optimum ``_c2_phase`` both C^2
+    have slope cos delta and C_out^2 = (1 + sin delta)/2 > C_in^2, so g' =
+    cos delta (phi'(C_out^2) - phi'(C_in^2)) < 0.  Illinois regula falsi
+    narrows that bracket to floating-point resolution: the slope kept at an
+    end that stays is halved, and a step that would leave the bracket bisects
+    it instead.  A gain flat to rounding fails the sign test, and the c2
+    phase is returned.
     """
-    gains = _mixture_entropy(_PHASE_GRID + delta) - _GRID_ENTROPY
-    best = float(_PHASE_GRID[int(np.argmax(gains))])
-
     def slope(f: float) -> float:
         return _mixture_entropy_slope(f + delta) - _mixture_entropy_slope(f)
 
-    a, b = best - _PHASE_STEP, best + _PHASE_STEP
+    c2 = _c2_phase(delta)
+    a, b = sorted((-math.copysign(math.pi / 2, delta), c2))
     s_a, s_b = slope(a), slope(b)
     if not s_a > 0.0 > s_b:
-        return best
+        return c2
     while True:
         f = b - s_b * (b - a) / (s_b - s_a)
         if not min(a, b) < f < max(a, b):
@@ -277,17 +265,15 @@ def _entropy_phase(delta: float) -> float:
 def capacity_entropy_no_ancilla(p) -> AnalyticCapacity:
     """Largest single-use increase of entropy of entanglement, no ancillas.
 
-    Saturating gates yield exactly one e-bit from a product input.
-    Otherwise the optimum is the pair mixture whose phase solves the
-    transcendental stationarity condition of E(|cos(f + Delta)|) - E(|cos f|).
-    """
+    Saturating gates yield exactly one e-bit from a product input; otherwise
+    the optimum is the pair mixture at ``_entropy_phase``."""
     region, lam = _classified(p)
     if region is RegionTag.ONE_EBIT:
         return AnalyticCapacity(1.0, region, _saturating_input(lam), 0.0)
     j, k, delta = _widest_pair(lam)
     f = _entropy_phase(delta)
-    initial = float(_mixture_entropy(f))
-    value = float(_mixture_entropy(f + delta)) - initial
+    initial = entropy_from_concurrence(abs(math.cos(f)))
+    value = entropy_from_concurrence(abs(math.cos(f + delta))) - initial
     return AnalyticCapacity(value, region, _mixture(j, k, f), initial)
 
 

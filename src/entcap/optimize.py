@@ -673,8 +673,8 @@ def _capacities(gates, measure, anc_a, anc_b, cfg, product=False, workers=1):
     raw, value, converged = (np.concatenate(part) for part in zip(*found))
     certified = converged.reshape(count, k).sum(axis=1)
     done = np.flatnonzero(certified)
-    # nanargmax returns the first maximum, which belongs to the lowest seed.
-    best = np.nanargmax(value.reshape(count, k)[done], axis=1)
+    # Over certified restarts only; the first maximum has the lowest seed.
+    best = np.nanargmax(np.where(converged, value, np.nan).reshape(count, k)[done], 1)
     picks = raw[done * k + best], certified[done].tolist(), [seeds[b] for b in best]
     results = iter(_results(objective.take(done), *picks) if done.size else ())
     error = f"no restart reached gradient norm below {_CONVERGED_GRAD_NORM}"

@@ -13,7 +13,6 @@ from entcap import capacity as capacity_module
 from entcap.canonical import CanonicalParams, bell_coefficients, decompose
 from entcap.capacity import (
     RegionTag,
-    _mixture_entropy,
     capacity_c2,
     capacity_concurrence,
     capacity_entropy_no_ancilla,
@@ -27,7 +26,13 @@ from entcap.errors import (
     NotNormalizedError,
     ZeroCapacityError,
 )
-from entcap.measures import MeasureKind, concurrence, entropy_of_entanglement, evaluate
+from entcap.measures import (
+    MeasureKind,
+    concurrence,
+    entropy_from_concurrence,
+    entropy_of_entanglement,
+    evaluate,
+)
 from entcap.qcore import (
     BELL_BASIS,
     CNOT,
@@ -170,11 +175,17 @@ def test_entropy_no_ancilla_branches():
     assert edge.value == 1.0
 
 
+def _reference_entropy(f):
+    """Entropy of entanglement at concurrence |cos f|, on numpy arrays."""
+    q = np.cos(f) ** 2 / (2.0 * (1.0 + np.abs(np.sin(f))))
+    return -(1.0 - q) * np.log2(1.0 - q) - q * np.log2(q)
+
+
 def _bisection_entropy_phase(delta):
     """Reference phase: the best of a 257-point grid, then bisection on the
     sign of the gain's derivative, evaluated on numpy scalars."""
     grid = np.linspace(0.0, np.pi, 257)
-    gains = _mixture_entropy(grid + delta) - _mixture_entropy(grid)
+    gains = _reference_entropy(grid + delta) - _reference_entropy(grid)
     best = float(grid[int(np.argmax(gains))])
 
     def entropy_slope(f):
@@ -201,7 +212,7 @@ def _bisection_entropy_phase(delta):
 
 def test_entropy_phase_matches_the_bisection_reference():
     def gain(f, delta):
-        return float(_mixture_entropy(f + delta)) - float(_mixture_entropy(f))
+        return float(_reference_entropy(f + delta)) - float(_reference_entropy(f))
 
     # Gaps in (-pi/2, pi/2], the range of the reduced eigenphase gap.
     deltas = np.pi / 2 - make_rng(23).uniform(0.0, np.pi, 2000)
@@ -211,18 +222,35 @@ def test_entropy_phase_matches_the_bisection_reference():
         assert abs(have - want) <= 1e-15, delta
 
 
+def test_entropy_phase_lies_between_the_product_and_c2_optima():
+    # The slope of the gain points into the bracket at both of its ends:
+    # up from the concurrence's product input, down from the c2 optimum.
+    def slope(f, delta):
+        entropy_slope = capacity_module._mixture_entropy_slope
+        return entropy_slope(f + delta) - entropy_slope(f)
+
+    gaps = np.linspace(0.0, np.pi / 2, 2003)[1:-1]
+    for delta in (*gaps, *-gaps):
+        delta, sign = float(delta), math.copysign(1.0, delta)
+        product = -math.copysign(math.pi / 2, delta)
+        c2 = capacity_module._c2_phase(delta)
+        assert sign * slope(product, delta) > 0.0 > sign * slope(c2, delta), delta
+        f = capacity_module._entropy_phase(delta)
+        assert min(product, c2) < f < max(product, c2), delta
+
+
 def test_mixture_entropy_is_finite_next_to_the_zeros_of_cos():
     # cos of a double is never 0, so the small Schmidt weight stays positive
-    # (about 1e-33 next to pi/2) and neither function guards against q = 0.
+    # (about 1e-33 next to pi/2) and the slope does not guard against q = 0.
     # A RuntimeWarning from a log of 0 would fail this test too.
     for centre in (np.pi / 2, -np.pi / 2, 3 * np.pi / 2, -3 * np.pi / 2):
         # The 11 doubles around the centre, which all share its sign.
         fs = (np.float64(centre).view(np.int64) + np.arange(-5, 6)).view(np.float64)
         assert np.all(np.abs(fs - centre) < 1e-14)
-        entropy = _mixture_entropy(fs)
-        assert np.all(np.isfinite(entropy)) and np.all(entropy >= 0.0), centre
-        for f in fs:
-            assert math.isfinite(capacity_module._mixture_entropy_slope(float(f))), f
+        for f in map(float, fs):
+            entropy = entropy_from_concurrence(abs(math.cos(f)))
+            assert math.isfinite(entropy) and entropy >= 0.0, f
+            assert math.isfinite(capacity_module._mixture_entropy_slope(f)), f
 
 
 def test_entropy_no_ancilla_matches_unrestricted_search():
@@ -307,6 +335,9 @@ def test_zero_gain_gates_report_exactly_zero():
         p = decompose(gate)
         for capacity, kind, _ in CLOSED_FORMS:
             assert capacity(p).value == 0.0, kind
+        # Any input is optimal here; the entropy reports the c2 optimum's.
+        entropy_state = capacity_entropy_no_ancilla(p).optimal_state.amplitudes
+        assert np.array_equal(entropy_state, capacity_c2(p).optimal_state.amplitudes)
 
 
 def test_capacity_module_imports_no_optimizer():

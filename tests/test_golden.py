@@ -11,11 +11,12 @@ and trajectories legitimately move: command lines, output keys, the CSV
 header and alpha column must match exactly and capacities within 1e-10,
 while e0/ef, converged counts and the best seed are not compared.
 
-After an intended output change, regenerate both files with
+After an intended output change, regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every changed line in the change log.
+which rewrites a file only where its test's comparison fails, so a fixture
+that still passes keeps its bytes; list every changed line in the change log.
 """
 import contextlib
 import io
@@ -144,12 +145,12 @@ def _pinned(line: str):
     return alpha, float(capacity)
 
 
-def test_analytic_stdout_matches_golden(tmp_path):
-    assert _transcript(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+def _assert_analytic(transcript: str):
+    assert transcript == GOLDEN.read_text(encoding="utf-8")
 
 
-def test_optimizer_output_matches_golden(tmp_path):
-    got = _optimizer_transcript(tmp_path).splitlines()
+def _assert_optimizer(transcript: str):
+    got = transcript.splitlines()
     want = GOLDEN_OPTIMIZER.read_text(encoding="utf-8").splitlines()
     assert len(got) == len(want)
     for have, pinned in zip(got, want):
@@ -159,8 +160,27 @@ def test_optimizer_output_matches_golden(tmp_path):
             assert abs(have_cap - want_cap) <= CAPACITY_TOL, (have, pinned)
 
 
+def test_analytic_stdout_matches_golden(tmp_path):
+    _assert_analytic(_transcript(tmp_path))
+
+
+def test_optimizer_output_matches_golden(tmp_path):
+    _assert_optimizer(_optimizer_transcript(tmp_path))
+
+
 if __name__ == "__main__":
+    if not __debug__:
+        raise SystemExit("the comparisons are asserts: run without -O")
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(_transcript(Path(tmp)), encoding="utf-8")
-        GOLDEN_OPTIMIZER.write_text(_optimizer_transcript(Path(tmp)), encoding="utf-8")
-    print(f"wrote {GOLDEN} and {GOLDEN_OPTIMIZER}")
+        for path, transcript, check in (
+            (GOLDEN, _transcript, _assert_analytic),
+            (GOLDEN_OPTIMIZER, _optimizer_transcript, _assert_optimizer),
+        ):
+            got = transcript(Path(tmp))
+            try:
+                check(got)
+            except (AssertionError, FileNotFoundError):
+                path.write_text(got, encoding="utf-8")
+                print(f"wrote {path}")
+            else:
+                print(f"kept {path}: it passes")

@@ -181,6 +181,21 @@ def test_nan_restart_is_never_best_nor_converged(monkeypatch):
     with pytest.raises(ConvergenceError):
         numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
 
+    real_search = optimize._search
+
+    def first_restart_uncertified(task):
+        # The first restart claims the highest value but fails its check.
+        raw, value, converged = real_search(task)
+        value[0], converged[0] = value.max() + 1.0, False
+        return raw, value, converged
+
+    monkeypatch.setattr(optimize, "_ascend", real)
+    monkeypatch.setattr(optimize, "_search", first_restart_uncertified)
+    res = numeric_capacity(CNOT, MeasureKind.CONCURRENCE_SQUARED, cfg=FAST)
+    assert res.best_restart_seed != FAST.master_seed
+    assert res.converged_restarts <= FAST.restarts - 1
+    assert res.value == pytest.approx(1.0, abs=1e-6)
+
 
 def test_tied_restarts_report_the_lowest_seed(monkeypatch):
     real = optimize._ascend

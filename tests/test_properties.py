@@ -1,10 +1,11 @@
 """Property tests: the measure wrappers against the batched kernel, their
 non-negativity on product states, the canonical decomposition on the edges
-of the canonical cell, and the closed-form capacities under local unitaries,
-conjugation and on the region boundaries."""
+of the canonical cell, the closed-form capacities under local unitaries,
+conjugation and on the region boundaries, and the entropy capacity against
+the concurrences' optimal inputs."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entcap.canonical import decompose, invariants_match, local_invariants
@@ -263,3 +264,20 @@ def test_region_tags_on_region_boundaries(u, w, z, sign):
     else:
         above = (max(a1, a2 + step), a2 + step, sign * a3)
     assert region_of(above) is RegionTag.REGION_2
+
+
+@FEW
+@given(u=UNIT, v=UNIT, w=UNIT, sign=st.sampled_from([1.0, -1.0]))
+def test_entropy_capacity_beats_the_concurrence_optima_inputs(u, v, w, sign):
+    # The entropy's optimal phase lies between the concurrence's product
+    # input and the c2 optimum's entangled one; neither of those gains more.
+    a1 = u * QUARTER_PI
+    alpha = (a1, v * a1, sign * w * v * a1)
+    assume(region_of(alpha) is not RegionTag.ONE_EBIT)
+    gate = build_canonical_unitary(alpha)
+    best = capacity_entropy_no_ancilla(alpha).value
+    for capacity in (capacity_c2, capacity_concurrence):
+        psi = capacity(alpha).optimal_state
+        output = PureState(gate @ psi.amplitudes)
+        gain = entropy_of_entanglement(output) - entropy_of_entanglement(psi)
+        assert best >= gain - 1e-12, capacity.__name__
