@@ -32,7 +32,7 @@ from .optimize import (
     numeric_capacity,
     product_start_capacity,
 )
-from .qcore import QUARTER_PI, _require_unitary
+from .qcore import QUARTER_PI, UNITARY_ATOL, _require_unitary
 
 CSV_HEADER = "alpha,capacity,e0,ef,converged"
 
@@ -114,8 +114,8 @@ def parse_matrix_file(path: str, unitary_tol: float = 1e-8) -> np.ndarray:
     The matrix must pass the package's unitarity check at ``unitary_tol``
     (max entry of U^dagger U - I).  One that passes there but not at the
     library's own 1e-10 is replaced by its nearest unitary, the polar
-    factor, so that every later check holds; an already unitary matrix is
-    returned unchanged.
+    factor, so that every later check holds, and refused if singular to
+    1e-10, where that is not unique; a unitary matrix is returned unchanged.
     """
     # utf-8-sig drops a byte-order mark, which would hide the first character.
     with open(path, encoding="utf-8-sig") as handle:
@@ -126,8 +126,10 @@ def parse_matrix_file(path: str, unitary_tol: float = 1e-8) -> np.ndarray:
     try:
         return _require_unitary(u)
     except NotUnitaryError:
-        w, _, vh = np.linalg.svd(u)
-        return w @ vh
+        w, sigma, vh = np.linalg.svd(u)
+    if sigma[-1] <= UNITARY_ATOL:
+        raise NotUnitaryError("matrix is singular: it has no unique nearest unitary")
+    return w @ vh
 
 
 def _load_matrix(args) -> np.ndarray:
@@ -256,11 +258,17 @@ def _triple(text: str):
         raise argparse.ArgumentTypeError(f"non-numeric angle in {text!r}") from None
 
 
+def _tolerance(text: str) -> float:
+    if not 0.0 <= float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return float(text)
+
+
 def _add_matrix_flags(sub) -> None:
     sub.add_argument("--matrix", required=True, help="4x4 unitary file: JSON or text")
     sub.add_argument(
         "--unitary-tol",
-        type=float,
+        type=_tolerance,
         default=1e-8,
         help="largest entry of U^dagger U - I accepted in a parsed matrix; "
         "accepted matrices that are not unitary to 1e-10 are projected onto "

@@ -5,12 +5,11 @@ partition labels.  The linear entropy is reported as defined,
 R = 1 - Tr(rho_A^2); for two-qubit cuts that tops out at 1/2, so a rescaled
 variant 2R with range [0, 1] is exposed alongside it.
 
-Each measure has one kernel over rows of states cut between dim_a and
-dim_b: ``_flip_terms`` for the concurrences, ``_cut_terms`` (clamped at 0)
-for the linear entropy and the entropy.  ``entanglement_batch`` is the one
-dispatch from a measure to its kernel: it returns the values or, with
-``gradient``, their closed-form gradients, never both.  The scalar
-functions are one-row wrappers around it.
+The kernel is chosen by the cut, not by the measure: ``_flip_terms`` serves
+all four measures of two-qubit rows through their concurrence, ``_cut_terms``
+(clamped at 0) the two entropies of larger cuts.  ``entanglement_batch`` is the
+one dispatch: it returns the values or, with ``gradient``, their closed-form
+gradients, never both.  The scalar functions are one-row wrappers around it.
 """
 from __future__ import annotations
 
@@ -59,36 +58,46 @@ def entanglement_batch(
     states: np.ndarray, kind: MeasureKind, dim_a: int = 2, dim_b: int = 2, gradient=False
 ) -> np.ndarray:
     """Measure a batch of states given as rows, cut between dim_a and dim_b,
-    or with ``gradient`` take each row's closed-form gradient (see below)."""
+    or with ``gradient`` take each row's dE/d(conj psi), the Wirtinger
+    derivative of its entanglement E, possibly plus a real multiple of psi: the
+    optimizer projects that direction out, because every objective depends on
+    its parameters only through normalized states."""
     states = np.atleast_2d(states)
-    if kind in CONCURRENCE_KINDS:
-        require_qubit_pair(kind, dim_a, dim_b)
+    require_qubit_pair(kind, dim_a, dim_b)
+    if dim_a == dim_b == 2:
         return _flip_terms(states, kind, gradient)
     return _cut_terms(states, kind, dim_a, dim_b, gradient)
 
 
-# With ``gradient`` the kernels return each row's dE/d(conj psi), the
-# Wirtinger derivative of its entanglement E, possibly plus a real multiple of
-# psi: the optimizer projects that direction out, because every objective
-# depends on its parameters only through normalized states.
-
-
 def _flip_terms(rows: np.ndarray, kind: MeasureKind, gradient=False):
-    """Concurrence |psi^T (sigma_y x sigma_y) psi| of two-qubit rows, or its
-    square (Wootters, PRL 80, 2245)."""
-    if kind not in CONCURRENCE_KINDS:
-        raise UnsupportedMeasureError(f"{kind!r} is not a concurrence")
+    """Every measure of two-qubit rows as g(|c|^2), c = psi^T (sigma_y x sigma_y) psi
+    (Wootters, PRL 80, 2245): |c|, |c|^2, |c|^2 / 2 and ``entropy_from_concurrence``
+    of |c|; or its gradient g' 2c (sigma_y x sigma_y psi)^*."""
+    if not isinstance(kind, MeasureKind):
+        raise UnsupportedMeasureError(f"{kind!r} is not a measure")
     w = rows @ PAULI_YY
     c = np.einsum("mi,mi->m", w, rows)
     conc = np.abs(c)
     squared = kind is MeasureKind.CONCURRENCE_SQUARED
-    if not gradient:
-        return conc**2 if squared else conc
-    grad = 2.0 * c[:, None] * w.conj()
-    if not squared:
+    if kind is MeasureKind.CONCURRENCE:
+        if not gradient:
+            return conc
         # d|c| = d|c|^2 / (2|c|); the kink at |c| = 0 gets the zero subgradient.
-        grad *= np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)[:, None]
-    return grad
+        slope = np.divide(0.5, conc, out=np.zeros_like(conc), where=conc > 0.0)
+    elif kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT:
+        s = np.sqrt(np.maximum(1.0 - conc**2, 0.0))
+        if not gradient:
+            q = conc**2 / (2.0 * (1.0 + s))
+            log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+            return q * -log_q - (1.0 - q) * np.log1p(-q) / math.log(2.0)
+        # g' = artanh(s) / (s ln 4), 1 / ln 4 at s = 0, and 0 on product rows (s = 1).
+        t = np.arctanh(np.where(s < 1.0, s, 0.0))
+        slope = np.divide(t, s, out=np.ones_like(s), where=s > 0.0) / math.log(4.0)
+    elif not gradient:
+        return conc**2 if squared else 0.5 * conc**2
+    else:  # g' is 1 for c2; the linear entropy's 1/2 cancels the 2.
+        return (2.0 if squared else 1.0) * c[:, None] * w.conj()
+    return 2.0 * c[:, None] * w.conj() * slope[:, None]
 
 
 def _cut_terms(rows: np.ndarray, kind: MeasureKind, dim_a, dim_b, gradient=False):
@@ -180,7 +189,8 @@ def binary_entropy(p: float) -> float:
 
 def entropy_from_concurrence(c: float) -> float:
     """Entropy of entanglement of a two-qubit pure state with concurrence c,
-    H of the smaller Schmidt weight c^2 / (2 (1 + sqrt(1 - c^2)))."""
+    H of the smaller Schmidt weight c^2 / (2 (1 + sqrt(1 - c^2))): the scalar
+    that the closed forms call, which a test checks against the kernel."""
     if not 0.0 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(c, 1.0)

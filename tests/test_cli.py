@@ -155,6 +155,29 @@ def test_parse_matrix_unitarity_gate(tmp_path):
     assert np.allclose(loose, np.eye(4), atol=1e-15)
 
 
+def test_singular_matrix_has_no_nearest_unitary(tmp_path, capsys):
+    # No tolerance lets a singular matrix through: its polar factor is not
+    # unique, so none is chosen for it, whichever file form it comes in.
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0 0 0\n" * 4)
+    rank_three = _write_json(tmp_path / "rank3.json", np.diag([1.0, 1.0, 1.0, 1e-11]))
+    for matrix in (str(path), rank_three):
+        with pytest.raises(NotUnitaryError, match="singular"):
+            parse_matrix_file(matrix, unitary_tol=1e9)
+        argv = ["capacity", "--measure", "c2", "--matrix", matrix]
+        assert main([*argv, "--unitary-tol", "1e9"]) == 1
+        assert capsys.readouterr().err.startswith("error: matrix is singular")
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-9", "abc"])
+def test_unitary_tol_must_be_finite_and_not_negative(cnot_file, capsys, tol):
+    argv = ["capacity", "--measure", "c2", "--matrix", cnot_file, "--unitary-tol", tol]
+    assert main(argv) == 2
+    assert "--unitary-tol" in capsys.readouterr().err
+    assert main([*argv[:-1], "0"]) == 0
+    capsys.readouterr()
+
+
 def test_unitary_inputs_are_returned_unchanged(tmp_path):
     a, b = haar_random_local_unitary(5)
     u = np.kron(a, b) @ build_canonical_unitary((0.6, 0.3, -0.1))

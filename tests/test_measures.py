@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from entcap.errors import (
 )
 from entcap.measures import (
     CONCURRENCE_KINDS,
+    SMOOTH_KINDS,
     MeasureKind,
     _cut_terms,
     _flip_terms,
@@ -23,6 +26,7 @@ from entcap.measures import (
 )
 from entcap.qcore import (
     BELL_BASIS,
+    PAULI_YY,
     PureState,
     haar_random_local_unitary,
     haar_random_state,
@@ -238,8 +242,9 @@ def _kernel_rows(dim_a, dim_b, seed=0):
 
 
 def _kernel(kind, dims):
-    """The kernel that computes ``kind``, on rows cut as ``dims``."""
-    if kind in CONCURRENCE_KINDS:
+    """The kernel that computes ``kind`` on rows cut as ``dims``: the cut
+    picks it, not the measure."""
+    if dims == (2, 2):
         return lambda rows, *mode: _flip_terms(rows, kind, *mode)
     return lambda rows, *mode: _cut_terms(rows, kind, *dims, *mode)
 
@@ -262,13 +267,18 @@ def _forbid(monkeypatch, name):
 )
 def test_value_only_mode_is_the_value_half_of_gradient_mode(monkeypatch, kind, dims):
     # A kernel returns a value or a gradient, never both: each mode computes
-    # only its own half, and the value mode is the one value path.
+    # only its own half, and the value mode is the one value path.  Two-qubit
+    # rows reach no eigensolver in either mode.
     rows = _kernel_rows(*dims)
     kernel = _kernel(kind, dims)
+    two_qubit = dims == (2, 2)
     with monkeypatch.context() as patch:
-        _forbid(patch, "eigvalsh")
+        for name in ("eigvalsh", "eigh") if two_qubit else ("eigvalsh",):
+            _forbid(patch, name)
         assert kernel(rows, True).shape == rows.shape
-    _forbid(monkeypatch, "eigh")
+        assert entanglement_batch(rows, kind, *dims, True).shape == rows.shape
+    for name in ("eigvalsh", "eigh") if two_qubit else ("eigh",):
+        _forbid(monkeypatch, name)
     value = kernel(rows)
     assert value.shape == rows.shape[:1]
     # Bit for bit, signed zeros included.
@@ -276,13 +286,105 @@ def test_value_only_mode_is_the_value_half_of_gradient_mode(monkeypatch, kind, d
 
 
 def test_kernels_reject_measures_they_do_not_compute():
+    # _flip_terms computes every measure; _cut_terms only the two entropies.
     rows = _kernel_rows(2, 2)
     for gradient in (False, True):
-        for kind in (*CUT_KINDS, "bogus"):
-            with pytest.raises(UnsupportedMeasureError):
-                _flip_terms(rows, kind, gradient)
+        with pytest.raises(UnsupportedMeasureError):
+            _flip_terms(rows, "bogus", gradient)
         for kind in (*CONCURRENCE_KINDS, "bogus"):
             with pytest.raises(UnsupportedMeasureError):
                 _cut_terms(rows, kind, 2, 2, gradient)
+        for kind in CONCURRENCE_KINDS:
+            with pytest.raises(UnsupportedMeasureError, match="one qubit per party"):
+                entanglement_batch(_kernel_rows(2, 4), kind, 2, 4, gradient)
     with pytest.raises(UnsupportedMeasureError):
         entanglement_batch(rows, "bogus")
+
+
+def _tangent_rows(grad, rows):
+    """Each gradient row without its real multiple of its unit state row, the
+    part that no objective of normalized states sees."""
+    along = np.einsum("mi,mi->m", rows.conj(), grad).real
+    return grad - along[:, None] * rows
+
+
+@pytest.mark.parametrize("kind", CUT_KINDS, ids=lambda k: k.value)
+def test_two_qubit_kernel_agrees_with_the_cut_kernel(kind):
+    # _cut_terms still runs on 2x2 rows, as the reference.  On a product row
+    # its eigvalsh leaves the smaller Schmidt weight at roundoff, about 1e-16,
+    # whose entropy reads up to 4.8e-15 here; the concurrence puts that weight
+    # at |c|^2 / 4, about 1e-33.  So product rows get a looser value tolerance.
+    rows = _kernel_rows(2, 2)
+    haar = np.arange(len(rows)) < len(rows) - 4
+    got, want = _flip_terms(rows, kind), _cut_terms(rows, kind, 2, 2)
+    assert np.all(np.abs(got - want) <= np.where(haar, 2e-15, 1e-14))
+    got = _tangent_rows(_flip_terms(rows, kind, True), rows)
+    want = _tangent_rows(_cut_terms(rows, kind, 2, 2, True), rows)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+# Each measure's range on two-qubit rows.
+TOPS = {
+    MeasureKind.CONCURRENCE: 1.0,
+    MeasureKind.CONCURRENCE_SQUARED: 1.0,
+    MeasureKind.LINEAR_ENTROPY: 0.5,
+    MeasureKind.ENTROPY_OF_ENTANGLEMENT: 1.0,
+}
+
+
+def _edge_rows():
+    """Product rows with |c| = 0 exactly, and maximally entangled rows: those
+    whose |c|^2 rounds to 1 (s = 0) and those whose |c|^2 rounds above it."""
+    rng = make_rng(7)
+    basis = np.eye(2)
+    product = [np.kron(basis[i], _unit(rng, 2)) for i in range(2)]
+    product += [np.kron(_unit(rng, 2), basis[i]) for i in range(2)]
+    product += [np.full(4, 0.5), np.eye(4)[3]]
+    bell = []
+    for seed in range(40):
+        va, vb = haar_random_local_unitary(seed)
+        bell.append(np.kron(va, vb) @ BELL_BASIS[:, seed % 4])
+    bell = np.array(bell)
+    c2 = np.abs(np.einsum("mi,mi->m", bell @ PAULI_YY, bell)) ** 2
+    return np.array(product), bell[c2 == 1.0], bell[c2 > 1.0]
+
+
+def test_two_qubit_kernel_on_edge_rows():
+    product, at_one, above_one = _edge_rows()
+    assert len(at_one) and len(above_one)
+    rows = np.concatenate([product, at_one, above_one])
+    for kind, top in TOPS.items():
+        # The entropy's range holds exactly; the others are not clamped at their
+        # tops, which they exceed by the rows' normalization roundoff.
+        slack = 0.0 if kind is MeasureKind.ENTROPY_OF_ENTANGLEMENT else 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _flip_terms(rows, kind)
+            grad = _flip_terms(rows, kind, True)
+        assert np.all((value >= 0.0) & (value <= top + slack)), kind
+        assert np.all(value[: len(product)] == 0.0), kind
+        assert np.all(np.isfinite(grad)), kind
+        if kind not in SMOOTH_KINDS:
+            # The concurrence's kink and the entropy's infinite slope at |c| = 0
+            # get the zero subgradient.
+            assert np.all(grad[: len(product)] == 0.0), kind
+    maximal = rows[len(product) :]
+    assert _flip_terms(maximal, MeasureKind.ENTROPY_OF_ENTANGLEMENT) == pytest.approx(
+        1.0, abs=1e-14
+    )
+    # s = 0 on these rows, where the entropy's g' takes its limit 1 / (2 ln 2).
+    np.testing.assert_allclose(
+        _flip_terms(maximal, MeasureKind.ENTROPY_OF_ENTANGLEMENT, True),
+        _flip_terms(maximal, MeasureKind.CONCURRENCE_SQUARED, True) / np.log(4.0),
+        rtol=1e-15,
+    )
+
+
+def test_entropy_from_concurrence_is_the_kernel_at_one_row():
+    # The closed forms call the scalar, the optimizer the kernel: the same
+    # h(q(C)) to an ulp or two, on Haar rows and edge rows alike.
+    rows = np.concatenate([_unit(make_rng(5), 500, 4), *_edge_rows()])
+    conc = _flip_terms(rows, MeasureKind.CONCURRENCE)
+    kernel = _flip_terms(rows, MeasureKind.ENTROPY_OF_ENTANGLEMENT)
+    scalar = [entropy_from_concurrence(c) for c in conc]
+    assert scalar == pytest.approx(kernel, rel=4.5e-16, abs=0.0)

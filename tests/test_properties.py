@@ -1,11 +1,12 @@
 """Property tests: the measure wrappers against the batched kernel, their
 non-negativity on product states, the canonical decomposition on the edges
 of the canonical cell, the closed-form capacities under local unitaries,
-conjugation and on the region boundaries, and the entropy capacity against
-the concurrences' optimal inputs."""
+conjugation and on the region boundaries, the entropy capacity against
+the concurrences' optimal inputs, and the closed forms against the optimizer
+over the whole cell."""
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from entcap.canonical import decompose, invariants_match, local_invariants
@@ -17,7 +18,7 @@ from entcap.capacity import (
     capacity_linear_entropy,
     region_of,
 )
-from entcap.errors import UnsupportedMeasureError
+from entcap.errors import ConvergenceError, UnsupportedMeasureError
 from entcap.measures import (
     CONCURRENCE_KINDS,
     MeasureKind,
@@ -27,6 +28,7 @@ from entcap.measures import (
     evaluate,
     linear_entropy,
 )
+from entcap.optimize import OptimizerConfig, numeric_capacity
 from entcap.qcore import (
     QUARTER_PI,
     PureState,
@@ -281,3 +283,85 @@ def test_entropy_capacity_beats_the_concurrence_optima_inputs(u, v, w, sign):
         output = PureState(gate @ psi.amplitudes)
         gain = entropy_of_entanglement(output) - entropy_of_entanglement(psi)
         assert best >= gain - 1e-12, capacity.__name__
+
+
+def _cell_point(where, u, v, w, offset, sign):
+    """A canonical triple inside the cell, on one of its edges, or within
+    ``offset`` of one of the two region boundaries."""
+    if where == "a1+a2=pi/4":
+        a1 = (1.0 + u) * QUARTER_PI / 2
+        a2 = float(np.clip(QUARTER_PI - a1 + offset, 0.0, a1))
+        return a1, a2, sign * w * a2
+    if where == "a2+|a3|=pi/4":
+        a2 = (1.0 + u) * QUARTER_PI / 2
+        a3 = float(np.clip(QUARTER_PI - a2 + offset, 0.0, a2))
+        return a2 + v * (QUARTER_PI - a2), a2, sign * a3
+    if where == "interior":
+        a1 = u * QUARTER_PI
+        return a1, v * a1, sign * w * v * a1
+    return _edge_point(where, u, v, sign)
+
+
+# Both pinned draws fail today, so every measure is an expected failure
+# until the search mends them; the pins run first and keep the outcome the
+# same on any hypothesis version, and the drawn triples run once they pass.
+# At 8 restarts the best certified restart falls 2.5e-9 (linear) to 5.6e-9
+# (entropy) short of the closed form at (0.78287, 0.78287, 0.00253), on the
+# far side of a2 + |a3| = pi/4 by 6.8e-10, where 1 of 8 restarts certifies.
+# At (pi/8, pi/8, 3 pi/32), on the a1 + a2 = pi/4 face, the entropy's optimum
+# takes a product input and no restart certifies, not even of 32.
+KNOWN_FAILURE = pytest.mark.xfail(
+    raises=(AssertionError, ConvergenceError), strict=True
+)
+
+
+@pytest.mark.parametrize(
+    "kind, closed_form",
+    [
+        pytest.param(
+            MeasureKind.CONCURRENCE_SQUARED, capacity_c2, id="c2", marks=KNOWN_FAILURE
+        ),
+        pytest.param(
+            MeasureKind.LINEAR_ENTROPY,
+            capacity_linear_entropy,
+            id="linear",
+            marks=KNOWN_FAILURE,
+        ),
+        pytest.param(
+            MeasureKind.ENTROPY_OF_ENTANGLEMENT,
+            capacity_entropy_no_ancilla,
+            id="entropy",
+            marks=KNOWN_FAILURE,
+        ),
+    ],
+)
+# Shrinking a failed search takes minutes, so a failure is reported as drawn.
+@settings(
+    FEW,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    report_multiple_bugs=False,
+)
+@given(
+    where=st.sampled_from(
+        ["interior", "a1=pi/4", "a1=a2", "a2=|a3|", "a3=0"]
+        + ["a1+a2=pi/4", "a2+|a3|=pi/4"]
+    ),
+    u=UNIT,
+    v=UNIT,
+    w=UNIT,
+    offset=st.floats(-1e-9, 1e-9),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(
+    where="a2+|a3|=pi/4", u=0.9935551248902399, v=0.0, w=0.0, offset=6.8e-10, sign=1.0
+)
+@example(where="a1+a2=pi/4", u=0.0, v=0.0, w=0.75, offset=0.0, sign=1.0)
+def test_closed_forms_match_the_search_over_the_cell(
+    kind, closed_form, where, u, v, w, offset, sign
+):
+    # A draw that certifies no restart raises ConvergenceError: a failure.
+    alpha = _cell_point(where, u, v, w, offset, sign)
+    gate = build_canonical_unitary(alpha)
+    found = numeric_capacity(gate, kind, cfg=OptimizerConfig(restarts=8))
+    assert found.value == pytest.approx(closed_form(alpha).value, abs=1e-9)
+    assert found.converged_restarts >= 1
